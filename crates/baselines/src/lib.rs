@@ -48,41 +48,17 @@ fn run_baseline(id: SystemId, cfg: &ClusterConfig) -> RunReport {
 
 fn mc_baseline(id: SystemId, sc: &McScenario, trace: Option<&McTrace>) -> McReport {
     let cfg = sc.cfg.clone();
-    match id {
-        SystemId::GentleRain | SystemId::Cure => {
-            let mode = if id == SystemId::GentleRain {
-                gs::StabilizationMode::Scalar
-            } else {
-                gs::StabilizationMode::Vector
-            };
-            drive(
-                id.label(),
-                sc,
-                move || {
-                    let (sim, metrics, _) = gs::build(mode, cfg.clone());
-                    (sim, metrics)
-                },
-                trace,
-            )
-        }
-        SystemId::SSeq | SystemId::ASeq => {
-            let mode = if id == SystemId::SSeq {
-                seq::SeqMode::Synchronous
-            } else {
-                seq::SeqMode::Asynchronous
-            };
-            drive(
-                id.label(),
-                sc,
-                move || {
-                    let (sim, metrics, _) = seq::build(mode, cfg.clone());
-                    (sim, metrics)
-                },
-                trace,
-            )
-        }
-        native => unreachable!("{native} is assembled by eunomia-geo"),
-    }
+    let build = move || {
+        let (sim, metrics, _) = match id {
+            SystemId::GentleRain => gs::build(gs::StabilizationMode::Scalar, cfg.clone()),
+            SystemId::Cure => gs::build(gs::StabilizationMode::Vector, cfg.clone()),
+            SystemId::SSeq => seq::build(seq::SeqMode::Synchronous, cfg.clone()),
+            SystemId::ASeq => seq::build(seq::SeqMode::Asynchronous, cfg.clone()),
+            native => unreachable!("{native} is assembled by eunomia-geo"),
+        };
+        (sim, metrics)
+    };
+    drive(id.label(), sc, build, trace)
 }
 
 /// Registers GentleRain, Cure, S-Seq and A-Seq in `eunomia-geo`'s system

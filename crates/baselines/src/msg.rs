@@ -9,7 +9,10 @@
 
 use eunomia_core::ids::{DcId, PartitionId};
 use eunomia_core::time::{Timestamp, VectorTime};
+use eunomia_geo::client::ClientWire;
 use eunomia_kv::{Key, Update, Value};
+use eunomia_sim::SimTime;
+use std::hash::{Hash as _, Hasher};
 
 /// All messages of the GentleRain / Cure / S-Seq / A-Seq systems.
 #[derive(Clone, Debug, Hash)]
@@ -100,4 +103,51 @@ pub enum BMsg {
         /// Its sequence number.
         seq: u64,
     },
+}
+
+/// The client wire of all four baselines: a dependency vector merged from
+/// every reply and attached to every update. The scalar system reduces it
+/// to its max at the partition and the sequencer systems fill it with
+/// per-DC sequence numbers, so one session serves them all.
+pub struct BaselineWire {
+    dc: usize,
+    vclock: VectorTime,
+}
+
+impl BaselineWire {
+    /// The wire of a client homed at datacenter `dc` of `n_dcs`.
+    pub fn new(dc: usize, n_dcs: usize) -> Self {
+        BaselineWire {
+            dc,
+            vclock: VectorTime::new(n_dcs),
+        }
+    }
+}
+
+impl ClientWire for BaselineWire {
+    type Msg = BMsg;
+
+    fn read(&mut self, key: Key) -> BMsg {
+        BMsg::Read { key }
+    }
+
+    fn update(&mut self, key: Key, value: Value) -> BMsg {
+        let deps = self.vclock.clone();
+        BMsg::Update { key, value, deps }
+    }
+
+    fn on_reply(&mut self, msg: BMsg, _now: SimTime) -> bool {
+        match msg {
+            BMsg::ReadReply { vts, .. } | BMsg::UpdateReply { vts } => {
+                self.vclock.merge_max(&vts);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn digest(&self, mut h: &mut dyn Hasher) {
+        h.write_usize(self.dc);
+        self.vclock.hash(&mut h);
+    }
 }

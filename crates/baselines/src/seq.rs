@@ -13,19 +13,19 @@
 //! causality; it exists to isolate how much of S-Seq's penalty is the
 //! synchronous round trip (§2, Fig. 1).
 
-use crate::msg::BMsg;
+use crate::msg::{BMsg, BaselineWire};
 use eunomia_core::ids::DcId;
 use eunomia_core::sequencer::Sequencer;
 use eunomia_core::time::{Timestamp, VectorTime};
+use eunomia_geo::client::ClientProc;
+use eunomia_geo::cluster::Assembly;
 use eunomia_geo::config::ClusterConfig;
 use eunomia_geo::harness::{make_report, RunReport};
 use eunomia_geo::metrics::GeoMetrics;
-use eunomia_geo::open_loop::{Admission, OpenLoopDriver, TIMER_ARRIVAL};
-use eunomia_geo::registry::{self, SharedRegistry};
+use eunomia_geo::registry::SharedRegistry;
 use eunomia_kv::store::{StoredVersion, VersionedStore};
 use eunomia_kv::{ring, Key, Update, Value};
 use eunomia_sim::{Context, Process, ProcessId, SimTime, Simulation};
-use eunomia_workload::{Op, OpGenerator};
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
@@ -427,166 +427,19 @@ impl Process<BMsg> for SeqReceiverProc {
     }
 }
 
-/// Client for the sequencer systems (closed- or open-loop; vector of
-/// per-DC sequence numbers as the session clock).
-pub struct SeqClientProc {
-    dc: usize,
-    vclock: VectorTime,
-    gen: OpGenerator,
-    cfg: Rc<ClusterConfig>,
-    reg: SharedRegistry,
-    metrics: GeoMetrics,
-    issued_at: SimTime,
-    pending_is_update: bool,
-    completed: u64,
-    open: Option<OpenLoopDriver>,
-}
-
-impl SeqClientProc {
-    fn new(dc: usize, cfg: Rc<ClusterConfig>, reg: SharedRegistry, metrics: GeoMetrics) -> Self {
-        let open = cfg
-            .open_loop
-            .as_ref()
-            .map(|ol| OpenLoopDriver::new(&ol.arrivals, ol.queue_limit));
-        SeqClientProc {
-            dc,
-            vclock: VectorTime::new(cfg.n_dcs),
-            gen: cfg.workload.generator(),
-            cfg,
-            reg,
-            metrics,
-            issued_at: 0,
-            pending_is_update: false,
-            completed: 0,
-            open,
-        }
-    }
-
-    fn issue(&mut self, ctx: &mut Context<'_, BMsg>) {
-        let op = self.gen.next_op(ctx.rng());
-        self.send_op(ctx, op);
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<'_, BMsg>, op: Op) {
-        let key = Key(op.key());
-        let partition = ring::responsible(key, self.cfg.partitions_per_dc);
-        let target = self.reg.borrow().partition(self.dc, partition.index());
-        self.issued_at = ctx.now();
-        match op {
-            Op::Read(_) => {
-                self.pending_is_update = false;
-                ctx.send(target, BMsg::Read { key });
-            }
-            Op::Update(_, value) => {
-                self.pending_is_update = true;
-                ctx.send(
-                    target,
-                    BMsg::Update {
-                        key,
-                        value,
-                        deps: self.vclock.clone(),
-                    },
-                );
-            }
-        }
-    }
-
-    fn complete(&mut self, ctx: &mut Context<'_, BMsg>, vts: &VectorTime) {
-        self.vclock.merge_max(vts);
-        let now = ctx.now();
-        if let Some(driver) = self.open.as_mut() {
-            let (intended, next) = driver.on_completion(now, self.issued_at, &self.metrics);
-            self.metrics.record_op(
-                self.dc,
-                now,
-                now.saturating_sub(intended),
-                self.pending_is_update,
-            );
-            self.completed += 1;
-            if let Some(op) = next {
-                if self.under_budget() {
-                    self.send_op(ctx, op);
-                }
-            }
-            return;
-        }
-        let latency = now.saturating_sub(self.issued_at);
-        self.metrics
-            .record_op(self.dc, now, latency, self.pending_is_update);
-        self.completed += 1;
-        if self.under_budget() {
-            self.issue(ctx);
-        }
-    }
-
-    fn under_budget(&self) -> bool {
-        self.cfg
-            .ops_per_client
-            .is_none_or(|budget| self.completed < budget)
-    }
-}
-
-impl Process<BMsg> for SeqClientProc {
-    fn on_start(&mut self, ctx: &mut Context<'_, BMsg>) {
-        match self.open.as_mut() {
-            Some(driver) => driver.start(ctx),
-            None => self.issue(ctx),
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, BMsg>, tag: u64) {
-        debug_assert_eq!(tag, TIMER_ARRIVAL, "seq client has no other timers");
-        if !self.under_budget() {
-            return;
-        }
-        let op = self.gen.next_op(ctx.rng());
-        let driver = self.open.as_mut().expect("arrival timer without driver");
-        if let Admission::Issue(op) = driver.on_arrival(ctx, op, &self.metrics) {
-            self.send_op(ctx, op);
-        }
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, BMsg>, _from: ProcessId, msg: BMsg) {
-        match msg {
-            BMsg::ReadReply { vts, .. } | BMsg::UpdateReply { vts } => {
-                let vts = vts.clone();
-                self.complete(ctx, &vts);
-            }
-            other => {
-                debug_assert!(false, "seq client received unexpected message: {other:?}");
-            }
-        }
-    }
-
-    fn mc_state(&self, mut h: &mut dyn std::hash::Hasher) -> bool {
-        use std::hash::Hash as _;
-        h.write_usize(self.dc);
-        self.vclock.hash(&mut h);
-        self.gen.state_digest(h);
-        self.pending_is_update.hash(&mut h);
-        h.write_u64(self.completed);
-        if let Some(driver) = &self.open {
-            driver.state_digest(h);
-        }
-        true
-    }
-}
-
 /// Builds an S-Seq or A-Seq deployment.
 pub fn build(
     mode: SeqMode,
     cfg: ClusterConfig,
 ) -> (Simulation<BMsg>, GeoMetrics, Rc<ClusterConfig>) {
-    let cfg = Rc::new(cfg);
-    let metrics = GeoMetrics::new(cfg.n_dcs);
-    if cfg.apply_log {
-        metrics.enable_apply_log();
-    }
-    if cfg.track_staleness {
-        metrics.enable_staleness_tracking();
-    }
-    let reg = registry::shared();
-    let mut sim: Simulation<BMsg> = Simulation::new(cfg.topology(), cfg.seed);
+    // No process here reads a physical clock, so no node needs a drawn one.
+    let Assembly {
+        mut sim,
+        metrics,
+        reg,
+        cfg,
+        ..
+    } = Assembly::<BMsg>::new(cfg);
 
     let mut partitions = Vec::new();
     let mut sequencers = Vec::new();
@@ -605,7 +458,8 @@ pub fn build(
             Box::new(SeqReceiverProc::new(dc, cfg.clone(), reg.clone())),
         ));
         for _ in 0..cfg.clients_per_dc {
-            let client = SeqClientProc::new(dc, cfg.clone(), reg.clone(), metrics.clone());
+            let wire = BaselineWire::new(dc, cfg.n_dcs);
+            let client = ClientProc::new(wire, dc, cfg.clone(), reg.clone(), metrics.clone());
             sim.add_process(dc, Box::new(client));
         }
     }

@@ -4,12 +4,11 @@
 //! counter, lane-sender window maintenance.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eunomia_core::batch::Batcher;
-use eunomia_core::eunomia::EunomiaState;
 use eunomia_core::ids::{PartitionId, ReplicaId};
+use eunomia_core::replica::ReplicaState;
 use eunomia_core::sequencer::Sequencer;
 use eunomia_core::shard::{BatchFrame, LaneSender, ShardedReplicaState};
-use eunomia_core::time::{Hlc, HlcTimestamp, ScalarHlc, Timestamp, VectorTime};
+use eunomia_core::time::{ScalarHlc, Timestamp, VectorTime};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -20,14 +19,6 @@ fn clock_benches(c: &mut Criterion) {
         b.iter(|| {
             t += 3;
             black_box(clock.tick(Timestamp(t), Timestamp(t / 2)))
-        })
-    });
-    c.bench_function("clock/structured_hlc_update", |b| {
-        let mut hlc = Hlc::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 3;
-            black_box(hlc.update(t, HlcTimestamp { l: t + 1, c: 2 }))
         })
     });
     c.bench_function("clock/vector_merge_and_dominates_m3", |b| {
@@ -45,14 +36,15 @@ fn eunomia_benches(c: &mut Criterion) {
         // Steady state: 16 partitions round-robin one op each, then a
         // stabilization pass drains what became stable.
         b.iter_with_setup(
-            || (EunomiaState::<u64>::new(16), Vec::new()),
+            || (ReplicaState::<u64>::new(ReplicaId(0), 16), Vec::new()),
             |(mut svc, mut out)| {
                 for round in 0..64u64 {
                     for p in 0..16u32 {
                         let ts = round * 100 + u64::from(p) + 1;
-                        svc.add_op(PartitionId(p), Timestamp(ts), ts).unwrap();
+                        svc.new_batch(PartitionId(p), [(Timestamp(ts), ts)])
+                            .unwrap();
                     }
-                    svc.process_stable(&mut out);
+                    svc.leader_process_stable(&mut out);
                 }
                 black_box(out.len())
             },
@@ -123,17 +115,6 @@ fn eunomia_benches(c: &mut Criterion) {
                 sender.on_ack(ReplicaId(r), Timestamp(ts));
             }
             black_box((scratch.len(), sender.window_len()))
-        })
-    });
-    c.bench_function("eunomia/batcher_push_flush", |b| {
-        let mut batcher: Batcher<u64> = Batcher::new(0);
-        let mut t = 0u64;
-        b.iter(|| {
-            for i in 0..64u64 {
-                batcher.push(i);
-            }
-            t += 1;
-            black_box(batcher.force_flush(Timestamp(t)).len())
         })
     });
 }

@@ -17,13 +17,37 @@
 //! inputs whose order does not matter.
 
 use crate::buffer::{OpKey, StabilizationBuffer};
-use crate::eunomia::EunomiaError;
 use crate::ids::{PartitionId, ReplicaId};
 use crate::time::Timestamp;
 use eunomia_collections::{OrderedMap, RbTree};
 use std::collections::VecDeque;
 
-/// One replica of the fault-tolerant Eunomia service (Algorithm 4).
+/// Errors surfaced by the Eunomia state machines.
+///
+/// A correct deployment never produces these; they exist so that drivers
+/// and tests can detect wiring mistakes instead of silently corrupting
+/// the stabilization order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EunomiaError {
+    /// An operation or heartbeat arrived from a partition id outside the
+    /// configured range.
+    UnknownPartition(PartitionId),
+}
+
+impl std::fmt::Display for EunomiaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EunomiaError::UnknownPartition(p) => write!(f, "unknown partition {p}"),
+        }
+    }
+}
+
+impl std::error::Error for EunomiaError {}
+
+/// One replica of the fault-tolerant Eunomia service (Algorithm 4). With
+/// a single replica — itself the leader — this is the unreplicated
+/// service of Algorithm 3: `NEW_BATCH` is `ADD_OP`, and the stable time,
+/// the minimum of `PartitionTime`, bounds what `PROCESS_STABLE` drains.
 #[derive(Clone, Debug)]
 pub struct ReplicaState<T, M = RbTree<OpKey, T>>
 where
@@ -93,8 +117,10 @@ impl<T, M: OrderedMap<OpKey, T>> ReplicaState<T, M> {
         Ok(self.partition_time[idx])
     }
 
-    /// Heartbeat from a partition (same contract as the non-replicated
-    /// service); returns the ack timestamp.
+    /// Heartbeat from a partition: advances `PartitionTime` without
+    /// buffering an operation and returns the ack timestamp. Stale
+    /// heartbeats are ignored rather than rejected — they carry no
+    /// payload, so dropping them is harmless.
     pub fn heartbeat(
         &mut self,
         partition: PartitionId,
@@ -386,6 +412,37 @@ mod tests {
     }
 
     #[test]
+    fn nothing_stable_until_all_partitions_report() {
+        let mut r = Replica::new(ReplicaId(0), 3);
+        r.new_batch(p(0), vec![(Timestamp(10), 0)]).unwrap();
+        r.new_batch(p(1), vec![(Timestamp(20), 1)]).unwrap();
+        // Partition 2 has never reported: stable time is ZERO.
+        assert_eq!(r.stable_time(), Timestamp::ZERO);
+        let mut out = Vec::new();
+        assert!(r.leader_process_stable(&mut out).is_none());
+        r.heartbeat(p(2), Timestamp(15)).unwrap();
+        r.leader_process_stable(&mut out).unwrap();
+        assert_eq!(out.len(), 1, "only the op at ts 10 <= stable 10 is out");
+    }
+
+    #[test]
+    fn stale_heartbeats_are_ignored_and_unknown_partitions_rejected() {
+        let mut r = Replica::new(ReplicaId(0), 2);
+        r.new_batch(p(0), vec![(Timestamp(10), 0)]).unwrap();
+        assert_eq!(r.heartbeat(p(0), Timestamp(5)), Ok(Timestamp(10)));
+        assert_eq!(r.partition_time(p(0)), Some(Timestamp(10)));
+        let unknown = Err(EunomiaError::UnknownPartition(p(2)));
+        assert_eq!(r.new_batch(p(2), vec![(Timestamp(1), 0)]), unknown);
+        assert_eq!(r.heartbeat(p(2), Timestamp(1)), unknown);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one partition")]
+    fn zero_partitions_panics() {
+        let _ = Replica::new(ReplicaId(0), 0);
+    }
+
+    #[test]
     fn only_leader_processes_stable() {
         let mut leader = Replica::new(ReplicaId(0), 1);
         let mut follower = Replica::new(ReplicaId(1), 1);
@@ -464,6 +521,66 @@ mod tests {
     }
 
     proptest! {
+        /// For any interleaving of per-partition monotone streams, the
+        /// stabilized output is (a) totally ordered by (ts, partition),
+        /// (b) a prefix: nothing later emerges below an emitted timestamp,
+        /// and (c) complete up to the final stable time.
+        #[test]
+        fn stabilized_output_is_an_order_consistent_prefix(
+            // Per-partition number of ops and per-op timestamp gaps.
+            gaps in proptest::collection::vec(
+                proptest::collection::vec(1u64..5, 0..30), 2..5
+            ),
+            // Interleaving seed.
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let n = gaps.len();
+            let streams: Vec<Vec<Timestamp>> = gaps
+                .iter()
+                .map(|g| {
+                    let mut acc = 0u64;
+                    g.iter().map(|d| { acc += d; Timestamp(acc) }).collect()
+                })
+                .collect();
+            let mut svc: ReplicaState<Timestamp> = ReplicaState::new(ReplicaId(0), n);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut emitted: Vec<(OpKey, Timestamp)> = Vec::new();
+            let mut cursors = vec![0usize; n];
+            let total: usize = streams.iter().map(|s| s.len()).sum();
+            let mut sent = 0usize;
+            while sent < total {
+                let i = rng.random_range(0..n);
+                if let Some(&ts) = streams[i].get(cursors[i]) {
+                    cursors[i] += 1;
+                    sent += 1;
+                    svc.new_batch(p(i as u32), [(ts, ts)]).unwrap();
+                }
+                if rng.random_range(0..4) == 0 {
+                    svc.leader_process_stable(&mut emitted);
+                }
+            }
+            // Final heartbeat from everyone so everything stabilizes.
+            for i in 0..n {
+                svc.heartbeat(p(i as u32), Timestamp(1_000_000)).unwrap();
+            }
+            svc.leader_process_stable(&mut emitted);
+
+            // (a) + (b): a strictly increasing sequence.
+            for w in emitted.windows(2) {
+                prop_assert!(w[0].0 < w[1].0, "emitted keys must strictly increase");
+            }
+            // (c) completeness.
+            let mut expected: Vec<OpKey> = streams
+                .iter()
+                .enumerate()
+                .flat_map(|(i, s)| s.iter().map(move |ts| OpKey::new(*ts, p(i as u32))))
+                .collect();
+            expected.sort();
+            let emitted: Vec<OpKey> = emitted.into_iter().map(|(k, _)| k).collect();
+            prop_assert_eq!(emitted, expected);
+        }
+
         /// Prefix property under lossy, duplicating delivery: however
         /// batches are dropped or replayed, each replica's accepted stream
         /// per partition is a gap-free prefix-extension (it holds every op

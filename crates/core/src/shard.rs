@@ -104,8 +104,8 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-use crate::eunomia::EunomiaError;
 use crate::ids::{PartitionId, ReplicaId};
+use crate::replica::EunomiaError;
 use crate::time::Timestamp;
 use eunomia_collections::TournamentTree;
 use std::collections::VecDeque;

@@ -6,8 +6,10 @@
 //! This crate assembles the pieces of `eunomia-core` and `eunomia-kv` into
 //! running datacenters (§4 of the paper):
 //!
-//! * [`client::ClientProc`] — closed-loop clients with vector sessions
-//!   (Algorithm 1 / §4);
+//! * [`client::ClientProc`] — the one closed-/open-loop client of all six
+//!   systems, generic over a [`client::ClientWire`] (Algorithm 1 / §4:
+//!   vector sessions for EunomiaKV, none for Eventual; the baselines
+//!   bring their own wire);
 //! * [`partition::PartitionProc`] — partition servers: timestamping,
 //!   batched metadata to the Eunomia replicas (§5), immediate data-path
 //!   shipping to sibling partitions, remote applies;

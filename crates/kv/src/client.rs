@@ -1,4 +1,4 @@
-//! Client sessions (Algorithm 1, scalar and vector forms).
+//! Client sessions (Algorithm 1, in the vector form of §4).
 //!
 //! A client keeps the largest timestamp(s) seen in its session; that clock
 //! is the whole causal dependency it ships with each update. Reads merge
@@ -6,44 +6,7 @@
 //! (the returned timestamp is strictly greater — Alg. 1 l. 9, §4).
 
 use eunomia_core::ids::DcId;
-use eunomia_core::time::{Timestamp, VectorTime};
-
-/// Scalar client session (Algorithm 1 verbatim): one datacenter, scalar
-/// timestamps. Used by the single-DC quickstart and the service-level
-/// benchmarks.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ScalarClientState {
-    clock: Timestamp,
-}
-
-impl ScalarClientState {
-    /// A fresh session with an empty causal past.
-    pub fn new() -> Self {
-        ScalarClientState {
-            clock: Timestamp::ZERO,
-        }
-    }
-
-    /// The session clock (`Clock_c`), sent with every update.
-    pub fn clock(&self) -> Timestamp {
-        self.clock
-    }
-
-    /// READ reply: `Clock_c <- max(Clock_c, Ts)` (Alg. 1 l. 4).
-    pub fn on_read_reply(&mut self, ts: Timestamp) {
-        self.clock = self.clock.max(ts);
-    }
-
-    /// UPDATE reply: `Clock_c <- Ts` (Alg. 1 l. 9); debug-asserts the
-    /// protocol guarantee that the new timestamp exceeds the old clock.
-    pub fn on_update_reply(&mut self, ts: Timestamp) {
-        debug_assert!(
-            ts > self.clock,
-            "update timestamp must exceed the session clock"
-        );
-        self.clock = ts;
-    }
-}
+use eunomia_core::time::VectorTime;
 
 /// Vector client session (§4): one entry per datacenter.
 #[derive(Clone, Debug)]
@@ -118,18 +81,6 @@ impl ClientState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scalar_session_tracks_causal_past() {
-        let mut c = ScalarClientState::new();
-        c.on_read_reply(Timestamp(10));
-        assert_eq!(c.clock(), Timestamp(10));
-        // An older version does not move the clock back.
-        c.on_read_reply(Timestamp(5));
-        assert_eq!(c.clock(), Timestamp(10));
-        c.on_update_reply(Timestamp(11));
-        assert_eq!(c.clock(), Timestamp(11));
-    }
 
     #[test]
     fn vector_session_merges_reads_and_substitutes_updates() {

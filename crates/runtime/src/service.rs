@@ -183,13 +183,14 @@ struct Geometry {
 }
 
 impl Geometry {
+    /// `cfg` must have passed [`run_eunomia_service_with_stats`]'s
+    /// checks: every count positive, no more stabilizers than lanes.
     fn new(cfg: &EunomiaBenchConfig) -> Self {
-        let lanes_per_feeder = cfg.lanes_per_feeder.max(1);
         Geometry {
             n_lanes: cfg.feeders,
-            lanes_per_feeder,
-            n_groups: cfg.feeders.div_ceil(lanes_per_feeder),
-            n_shards: cfg.stabilizers.clamp(1, cfg.feeders),
+            lanes_per_feeder: cfg.lanes_per_feeder,
+            n_groups: cfg.feeders.div_ceil(cfg.lanes_per_feeder),
+            n_shards: cfg.stabilizers,
         }
     }
 
@@ -263,41 +264,6 @@ impl Shared {
     }
 }
 
-/// Lowers the calling thread's scheduling priority (nice +5). The
-/// paper's feeders are separate machines; in-process they compete with
-/// the replica threads for CPU, and a fair scheduler gives N feeders N
-/// shares against the one replica that needs most of a core — at 256
-/// feeders the service starves in its own benchmark. Raising nice is
-/// unprivileged; raw syscalls keep the crate dependency-free.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn deprioritize_current_thread() {
-    // SAFETY: gettid takes no arguments and setpriority(PRIO_PROCESS,
-    // tid, 5) only affects this thread; both are harmless on failure.
-    unsafe {
-        let tid: i64;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 186i64 => tid, // SYS_gettid
-            out("rcx") _,
-            out("r11") _,
-        );
-        let mut ret: i64 = 141; // SYS_setpriority
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") ret,
-            in("rdi") 0i64, // PRIO_PROCESS
-            in("rsi") tid,
-            in("rdx") 5i64, // nice +5
-            out("rcx") _,
-            out("r11") _,
-        );
-        let _ = ret;
-    }
-}
-
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn deprioritize_current_thread() {}
-
 /// One feeder thread driving `geo.group_lanes(group)` logical lanes
 /// through a [`MuxSender`]: one pooled window budget, one grant ring,
 /// one doorbell, one physical-clock read per pass.
@@ -311,7 +277,6 @@ fn feeder_loop(
     grants: &Receiver<GrantBatch>,
     start: &Barrier,
 ) -> ServiceStats {
-    deprioritize_current_thread();
     let (lane_lo, lane_hi) = geo.group_lanes(group);
     let n_lanes = lane_hi - lane_lo;
     let n_replicas = cfg.replicas;
@@ -329,6 +294,14 @@ fn feeder_loop(
     // RTT phase-lock into convoys — everyone ships together, the replica
     // chews the burst, everyone sleeps together and the ring runs dry.
     // Randomizing each sleep +/-a third keeps arrivals spread out.
+    // Audited, kept: convoys need several feeder threads and every
+    // BENCHMARK.json workload runs one, so the benchmark sees only the
+    // stretched sleeps. Without it (4 pairs, 10 s): svc-rate p50/p99
+    // 2.4/24.1 -> 2.0/17.2 ms, cpu_ns_per_op 20.7 -> 21.7; svc-fanin
+    // 22.2/96 -> 22.3/95 ms here, 22 -> 25 ms p50 in 4 of 4 of the
+    // issue's runs. Unresolved at that count; the multi-thread cells it
+    // exists for (`perf_service`, 16-256 threads) are not in the
+    // benchmark.
     let mut jitter_state = (0x9E37_79B9_7F4A_7C15u64 ^ group as u64) | 1;
     let mut jitter = move |d: Duration| {
         jitter_state ^= jitter_state << 13;
@@ -480,6 +453,16 @@ fn feeder_loop(
                 // frames. Rate-limited lanes floor this at a quarter
                 // frame — a grant doorbell must not flush every dribble
                 // the accrual clock has admitted.
+                // Audited, kept: this hold-back *is* the open-loop
+                // stabilization latency — a lane at 75k ids/s needs
+                // 13.7 ms to accrue the 1024 ids it waits for. Shipping
+                // whatever is sendable instead (4 pairs, 10 s) took
+                // svc-fanin p50/p99 from 22.4/98.7 to 1.7/5.0 ms and
+                // svc-rate from 2.1/24.6 to 0.69/3.8 ms, but
+                // cpu_ns_per_op from 11.6 to 18.7 and from 24.8 to 289
+                // (grant/doorbell ping-pong per dribble) against a 25%
+                // bound. A pacing rule that keeps the CPU and gives back
+                // the latency is a perf issue of its own.
                 let rate_floor = if cfg.feeder_rate.is_some() {
                     MAX_FRAME_IDS / 4
                 } else {
@@ -838,6 +821,12 @@ pub fn run_eunomia_service_with_stats(
         cfg.lanes_per_feeder > 0 && cfg.stabilizers > 0,
         "need at least one lane per feeder thread and one stabilizer"
     );
+    assert!(
+        cfg.stabilizers <= cfg.feeders,
+        "{} stabilizers cannot split {} lanes: a stabilizer shard needs at least one lane",
+        cfg.stabilizers,
+        cfg.feeders
+    );
     let geo = Arc::new(Geometry::new(cfg));
     let n_shards = geo.n_shards;
     let shared = Arc::new(Shared {
@@ -1064,6 +1053,14 @@ mod tests {
         let p50 = stats.stabilization_latency_ms(50.0).unwrap();
         assert!(p50 > 0.0, "stabilization takes nonzero time: {p50}");
         assert!(stats.theta_sweep_ns.count() > 0, "theta sweeps are timed");
+    }
+
+    #[test]
+    #[should_panic(expected = "5 stabilizers cannot split 4 lanes")]
+    fn more_stabilizers_than_lanes_is_rejected() {
+        let mut cfg = quick(4, 1);
+        cfg.stabilizers = 5;
+        run_eunomia_service(&cfg);
     }
 
     #[test]

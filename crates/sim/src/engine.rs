@@ -57,14 +57,11 @@
 //!   `departure + jitter`. Runs with a fault schedule keep the flat
 //!   `from * nprocs + to` table, since fault windows shift base
 //!   latencies (those presets are small deployments).
-//! * **Cached process tables** — `proc_nodes` (and the clock/region
-//!   tables) are maintained as processes are added, not re-collected per
-//!   dispatch.
+//! * **Cached process tables** — the clock and region tables are
+//!   maintained as processes are added, not re-collected per dispatch.
 //! * **Timer generations** — timer ids encode a slot + generation pair in
 //!   a slab ([`TimerTable`]); cancellation bumps the generation in O(1)
-//!   and cancelled entries are skipped on drain, never searched. Runs
-//!   that never arm a timer (eventual consistency has nothing to
-//!   stabilize) skip the per-event generation bookkeeping entirely.
+//!   and cancelled entries are skipped on drain, never searched.
 //!
 //! [`Simulation::stats`] exposes the engine counters ([`EngineStats`])
 //! that the geo harness threads into every `RunReport`.
@@ -544,12 +541,6 @@ impl TimerTable {
     fn live_count(&self) -> usize {
         self.gens.len() - self.free.len()
     }
-
-    /// Whether any timer was ever armed in this run (slots are never
-    /// removed, only recycled, so an empty table means "never").
-    fn ever_armed(&self) -> bool {
-        !self.gens.is_empty()
-    }
 }
 
 /// Aggregate engine counters for one simulation run.
@@ -618,9 +609,7 @@ pub struct Context<'a, M> {
     timers: Vec<(SimTime, u64, u64)>,
     clocks: &'a [ClockModel],
     node_regions: &'a [usize],
-    proc_nodes: &'a [NodeId],
     rng: &'a mut StdRng,
-    topology: &'a Topology,
     timer_table: &'a mut TimerTable,
 }
 
@@ -687,13 +676,6 @@ impl<'a, M> Context<'a, M> {
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
     }
-
-    /// One-way base latency (ns) from this process's region to `to`'s.
-    pub fn oneway_latency_to(&self, to: ProcessId) -> SimTime {
-        let from_region = self.node_regions[self.node.index()];
-        let to_region = self.node_regions[self.proc_nodes[to.index()].index()];
-        self.topology.oneway(from_region, to_region)
-    }
 }
 
 /// The discrete-event simulation over messages of type `M`.
@@ -708,11 +690,7 @@ pub struct Simulation<M> {
     slots: Vec<Slot<M>>,
     nodes: Vec<ClockModel>,
     node_regions: Vec<usize>,
-    /// Node of each process, maintained as processes are added (never
-    /// re-collected on the dispatch path).
-    proc_nodes: Vec<NodeId>,
-    /// Region of each process (derived from `proc_nodes`, cached for the
-    /// routing path).
+    /// Region of each process, cached for the routing path.
     proc_regions: Vec<usize>,
     topology: Topology,
     rng: StdRng,
@@ -778,7 +756,6 @@ impl<M> Simulation<M> {
             slots: Vec::new(),
             nodes: Vec::new(),
             node_regions: Vec::new(),
-            proc_nodes: Vec::new(),
             proc_regions: Vec::new(),
             topology,
             rng: StdRng::seed_from_u64(seed),
@@ -841,7 +818,6 @@ impl<M> Simulation<M> {
             queue: VecDeque::new(),
             dispatch_scheduled: false,
         });
-        self.proc_nodes.push(node);
         self.proc_regions.push(self.node_regions[node.index()]);
         pid
     }
@@ -1036,12 +1012,6 @@ impl<M> Simulation<M> {
         self.queue.peek().map(|e| e.time)
     }
 
-    /// Runs for `duration` more nanoseconds of simulated time.
-    pub fn run_for(&mut self, duration: SimTime) {
-        let deadline = self.now + duration;
-        self.run_until(deadline);
-    }
-
     fn arrive(&mut self, to: ProcessId, work: Work<M>) {
         let slot = &mut self.slots[to.index()];
         if slot.crashed {
@@ -1100,14 +1070,6 @@ impl<M> Simulation<M> {
     /// ran (false for stale — cancelled — timer arrivals).
     fn run_work(&mut self, pid: ProcessId, work: Work<M>) -> bool {
         let idx = pid.index();
-        // Timer-free fast path: a run that never armed a timer (e.g.
-        // eventual consistency, which has nothing to stabilize) can have
-        // no `Work::Timer` in flight, so the generation check — and the
-        // flush below — are skipped wholesale.
-        if !self.timer_table.ever_armed() {
-            debug_assert!(!matches!(work, Work::Timer { .. }));
-            return self.run_work_handler(pid, idx, work);
-        }
         if let Work::Timer { id, .. } = work {
             // A dead generation means the timer was cancelled.
             if !self.timer_table.retire(id) {
@@ -1115,10 +1077,6 @@ impl<M> Simulation<M> {
                 return false;
             }
         }
-        self.run_work_handler(pid, idx, work)
-    }
-
-    fn run_work_handler(&mut self, pid: ProcessId, idx: usize, work: Work<M>) -> bool {
         // Temporarily take the process out so the handler can borrow the
         // simulation's shared state through the context.
         let mut proc = self.slots[idx].proc.take().expect("process present");
@@ -1132,9 +1090,7 @@ impl<M> Simulation<M> {
             timers: std::mem::take(&mut self.scratch_timers),
             clocks: &self.nodes,
             node_regions: &self.node_regions,
-            proc_nodes: &self.proc_nodes,
             rng: &mut self.rng,
-            topology: &self.topology,
             timer_table: &mut self.timer_table,
         };
         match work {

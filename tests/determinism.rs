@@ -37,6 +37,18 @@ fn fingerprint(r: &RunReport, n_dcs: u16) -> impl PartialEq + std::fmt::Debug {
     )
 }
 
+/// `small_test` at seed 1234 with every client driven by a 200 Hz
+/// Poisson arrival process instead of the closed loop.
+fn poisson_open_loop() -> Scenario {
+    use eunomia::{ArrivalSpec, OpenLoopConfig};
+    Scenario::small_test().seed(1234).with(|cfg| {
+        cfg.open_loop = Some(OpenLoopConfig {
+            arrivals: ArrivalSpec::Poisson { rate_hz: 200.0 },
+            queue_limit: 16,
+        });
+    })
+}
+
 #[test]
 fn identical_runs_for_all_six_systems() {
     let scenario = Scenario::small_test().seed(1234);
@@ -60,13 +72,7 @@ fn identical_open_loop_runs_for_all_six_systems() {
     // deterministic path. The fingerprint is extended with the load
     // counters so a drift in the arrival machinery itself (not just its
     // downstream effects) is caught.
-    use eunomia::{ArrivalSpec, OpenLoopConfig};
-    let scenario = Scenario::small_test().seed(1234).with(|cfg| {
-        cfg.open_loop = Some(OpenLoopConfig {
-            arrivals: ArrivalSpec::Poisson { rate_hz: 200.0 },
-            queue_limit: 16,
-        });
-    });
+    let scenario = poisson_open_loop();
     let n_dcs = scenario.cfg().n_dcs as u16;
     let load_print = |r: &RunReport| {
         let l = r.load.as_ref().expect("open-loop run carries LoadStats");
@@ -182,4 +188,59 @@ fn engine_stats_are_populated_and_consistent() {
         e.direct_deliveries,
         e.events
     );
+}
+
+/// One pinned run: system, then `total_ops`, `engine.events`,
+/// `engine.messages_routed`, `engine.timers_set`, p50 bits, p99 bits.
+type Golden = (&'static str, [u64; 6]);
+
+/// Recorded at commit 9b52082, before the three client loops were merged
+/// into one. Re-pin only together with a change that is meant to alter
+/// the protocol, the engine's event order or an RNG stream.
+#[rustfmt::skip]
+const GOLDEN_CLOSED: [Golden; 6] = [
+    ("Eventual",   [17294,  43218, 43231,     0, 0x3ff083dab5c39bcc, 0x3ffde26809d49518]),
+    ("EunomiaKV",  [17012, 129373, 95363, 34053, 0x3ff0c6f694467382, 0x3ffe689fc6da4485]),
+    ("GentleRain", [14668,  51672, 44274,  7422, 0x3ff2599dcb5781c7, 0x4002dfd60e94ee39]),
+    ("Cure",       [14454,  51109, 43721,  7407, 0x3ff2dfd5885d3133, 0x4002dfd60e94ee39]),
+    ("S-Seq",      [13888,  72724, 62729, 10000, 0x3ff68b5bb384fd2a, 0x4008a43b2dd377e2]),
+    ("A-Seq",      [16694,  85058, 75076, 10000, 0x3ff0c6f694467382, 0x3fff750f40e5a35d]),
+];
+
+/// Same, for [`poisson_open_loop`].
+#[rustfmt::skip]
+const GOLDEN_OPEN: [Golden; 6] = [
+    ("Eventual",   [3890,  13603,  9707,  3894, 0x3ff040bed740c415, 0x4002dfd60e94ee39]),
+    ("EunomiaKV",  [3890, 102573, 60202, 42394, 0x3ff083dab5c39bcc, 0x4002dfd60e94ee39]),
+    ("GentleRain", [3890,  29948, 18257, 11699, 0x3ff2599dcb5781c7, 0x400605247cb70ac4]),
+    ("Cure",       [3890,  29909, 18230, 11687, 0x3ff2599dcb5781c7, 0x40068b5c39bcba30]),
+    ("S-Seq",      [3890,  31309, 17411, 13894, 0x3ff68b5bb384fd2a, 0x4009b0aaa7ded6bb]),
+    ("A-Seq",      [3890,  31309, 17411, 13894, 0x3ff083dab5c39bcc, 0x4002dfd60e94ee39]),
+];
+
+#[test]
+fn golden_fingerprints_for_all_six_systems() {
+    // The tests above compare a run with itself, so they cannot see a
+    // refactor that changes what is simulated in the same way twice.
+    for (scenario, want) in [
+        (Scenario::small_test().seed(1234), GOLDEN_CLOSED),
+        (poisson_open_loop(), GOLDEN_OPEN),
+    ] {
+        for (id, (system, pinned)) in SystemId::all().into_iter().zip(want) {
+            let r = run(id, &scenario);
+            let got = [
+                r.total_ops,
+                r.engine.events,
+                r.engine.messages_routed,
+                r.engine.timers_set,
+                r.p50_latency_ms.to_bits(),
+                r.p99_latency_ms.to_bits(),
+            ];
+            assert_eq!(r.system, system);
+            assert_eq!(
+                got, pinned,
+                "{id}: the run no longer reproduces the pinned trace"
+            );
+        }
+    }
 }
