@@ -54,7 +54,7 @@ fn eunomia_benches(c: &mut Criterion) {
         // At-least-once delivery on the threaded hot path: half of each
         // batch frame was already seen, sliced off by the watermark dedup
         // (this is the same `ShardedReplicaState::ingest` the fig2–fig4
-        // service figures and `perf_service` exercise).
+        // service figures and the `svc-*` benchmark workloads exercise).
         b.iter_with_setup(
             || {
                 let mut r = ShardedReplicaState::new(ReplicaId(0), 1);

@@ -25,8 +25,6 @@ const HARNESSES: &[&str] = &[
     "ablation_tree",
     "fig_faults",
     "fig_load",
-    "perf_engine",
-    "perf_service",
 ];
 
 fn main() {

@@ -18,9 +18,7 @@
 //! * `--scenario NAME` — run a named `Scenario` preset instead of the
 //!   figure's default scenarios (repeatable, or comma-separated), so new
 //!   presets are runnable without a dedicated binary;
-//! * `--list-scenarios` — print every scenario preset name and exit;
-//! * `--assert-scale-floor` — scale-sweeping harnesses exit non-zero if
-//!   large-scale throughput falls below its floor (see `perf_engine`).
+//! * `--list-scenarios` — print every scenario preset name and exit.
 //!
 //! `BenchArgs::parse` also installs the baseline runners into
 //! `eunomia-geo`'s system registry, so after parsing, any binary can call
@@ -41,11 +39,6 @@ pub struct BenchArgs {
     pub systems: Option<Vec<SystemId>>,
     /// `--scenario` overrides; `None` means "whatever the figure runs".
     pub scenarios: Option<Vec<Scenario>>,
-    /// `--assert-scale-floor`: harnesses that sweep multiple deployment
-    /// scales (today `perf_engine`) exit non-zero if the large-scale
-    /// event rate falls below its floor relative to paper-3dc. Ignored
-    /// by binaries without a scale sweep.
-    pub assert_scale_floor: bool,
 }
 
 impl BenchArgs {
@@ -59,13 +52,11 @@ impl BenchArgs {
             seed: 42,
             systems: None,
             scenarios: None,
-            assert_scale_floor: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
-                "--assert-scale-floor" => out.assert_scale_floor = true,
                 "--seconds" => {
                     let v = args
                         .next()
@@ -194,7 +185,7 @@ fn usage(err: &str) -> ! {
     eprintln!("error: {err}");
     eprintln!(
         "usage: <bin> [--quick] [--seconds N] [--seed N] [--system NAME]... [--list-systems] \
-         [--scenario NAME]... [--list-scenarios] [--assert-scale-floor]"
+         [--scenario NAME]... [--list-scenarios]"
     );
     std::process::exit(2);
 }
@@ -272,7 +263,6 @@ mod tests {
             seed: 1,
             systems,
             scenarios: None,
-            assert_scale_floor: false,
         }
     }
 

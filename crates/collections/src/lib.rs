@@ -19,8 +19,8 @@
 //! * `pop_min` — incremental variant of the above.
 //!
 //! The crate also provides [`TournamentTree`], the min winner tree the
-//! sharded stabilizer uses to merge per-lane stable cutoffs in
-//! `O(log lanes)` per watermark advance, and [`fasthash`], the
+//! lane-sharded stabilizer (`core::shard`) uses to merge per-lane stable
+//! cutoffs in `O(log lanes)` per watermark advance, and [`fasthash`], the
 //! deterministic multiply-rotate hasher behind the simulator's hot maps
 //! (versioned stores, pending-apply tables).
 //!

@@ -319,15 +319,9 @@ impl ShardedReplicaState {
     }
 
     /// [`leader_process_stable_with`], bounded by an external `cutoff`:
-    /// drains ids at or below `min(cutoff, stable_time())`.
-    ///
-    /// This is the sharded-stabilizer entry point. When a replica's lane
-    /// table is split across several stabilizer threads, each shard's
-    /// tournament tree knows only *its* lanes' minimum; the true stable
-    /// time is the minimum over every shard. The combiner folds the
-    /// published per-shard minima into that global cutoff and each shard
-    /// drains its own lanes up to it — never past its local minimum, and
-    /// never past what the other shards have confirmed.
+    /// drains ids at or below `min(cutoff, stable_time())` — never past
+    /// this replica's own minimum, and never past a cutoff the caller
+    /// fixed before the drain.
     ///
     /// [`leader_process_stable_with`]: Self::leader_process_stable_with
     pub fn leader_process_stable_up_to(

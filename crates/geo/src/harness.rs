@@ -35,12 +35,6 @@ pub struct RunReport {
     /// Raw engine counters for the run (event counts are deterministic
     /// per seed; `wall_ns` is real elapsed time and is not).
     pub engine: EngineStats,
-    /// Threaded-service measurements (ids/s at stabilization, batch
-    /// sizes, queue depth, stabilization latency) when the report came
-    /// from (or was joined with) a real-thread service run — `None` for
-    /// purely simulated runs. Attach with
-    /// [`with_service_stats`](RunReport::with_service_stats).
-    pub service: Option<eunomia_stats::ServiceStats>,
     /// Open-loop load measurements (offered vs achieved rate,
     /// coordinated-omission-free latency, queue waits) — `Some` iff the
     /// config set `open_loop`.
@@ -88,16 +82,6 @@ pub struct HealConvergence {
 }
 
 impl RunReport {
-    /// Attaches a threaded-service [`ServiceStats`] to the report — the
-    /// service-side counterpart of the `engine` field, used by harnesses
-    /// that pair a simulated run with a real-thread service measurement.
-    ///
-    /// [`ServiceStats`]: eunomia_stats::ServiceStats
-    pub fn with_service_stats(mut self, stats: eunomia_stats::ServiceStats) -> RunReport {
-        self.service = Some(stats);
-        self
-    }
-
     /// Per-DC milliseconds spent under an unhealed partition (the
     /// [`availability`](RunReport::availability) accounting in ms).
     pub fn unavailable_ms(&self) -> Vec<f64> {
@@ -301,7 +285,6 @@ pub fn make_report(
         window: (from, to),
         duration: cfg.duration,
         engine,
-        service: None,
     }
 }
 
@@ -330,21 +313,6 @@ mod tests {
         // Extra delay should be modest: stabilization intervals are 1 ms.
         let p90 = report.visibility_percentile_ms(0, 1, 90.0).unwrap();
         assert!(p90 < 100.0, "p90 extra delay unreasonably large: {p90} ms");
-    }
-
-    #[test]
-    fn service_stats_attach_to_reports() {
-        let report = run(SystemId::Eventual, &Scenario::small_test());
-        assert!(
-            report.service.is_none(),
-            "simulated runs carry no service stats"
-        );
-        let stats = eunomia_stats::ServiceStats {
-            stabilized_ids: 5,
-            ..Default::default()
-        };
-        let report = report.with_service_stats(stats);
-        assert_eq!(report.service.unwrap().stabilized_ids, 5);
     }
 
     #[test]

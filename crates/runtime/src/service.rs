@@ -13,20 +13,19 @@
 //!   `batch_interval` it ships each replica one flat [`BatchFrame`] per
 //!   lane with pending ids; frames carry the lane tag, so the replica's
 //!   dedup semantics are identical to one-thread-per-lane.
-//! * `replicas` service replicas, each split into `stabilizers` shard
-//!   threads: every shard owns a contiguous slice of the lane table as a
-//!   [`ShardedReplicaState`], drains its own frame ring in batches,
-//!   dedups by per-lane watermark (one binary search per frame, not one
-//!   probe per id) and coalesces the sweep's acks into one [`GrantBatch`]
-//!   per feeder thread. Every `theta` each shard runs the tournament-tree
-//!   cutoff over *its* lanes, publishes the per-shard minimum, folds the
-//!   other shards' published minima into the global stable cutoff, and —
-//!   on the current leader — drains its lanes' stable prefix up to that
-//!   cutoff. The leader is the lowest-indexed replica with a fresh
-//!   liveness beat, so killing it fails over after roughly
-//!   `omega_timeout`; a killed replica can be revived mid-run
-//!   ([`EunomiaBenchConfig::revives`]) and rejoins by resend from the
-//!   feeders' window floors (state transfer, not replay).
+//! * `replicas` service replicas, each one stabilization thread (the
+//!   paper's Alg. 4 loop) owning the whole lane table as a
+//!   [`ShardedReplicaState`]: it drains its frame ring in batches, dedups
+//!   by per-lane watermark (one binary search per frame, not one probe
+//!   per id) and coalesces the sweep's acks into one [`GrantBatch`] per
+//!   feeder thread. Every `theta` it reads the stable cutoff — the
+//!   minimum of the lanes' latest timestamps, kept by a tournament tree —
+//!   and, on the current leader, drains the stable prefix up to it. The
+//!   leader is the lowest-indexed replica with a fresh liveness beat, so
+//!   killing it fails over after roughly `omega_timeout`; a killed
+//!   replica can be revived mid-run ([`EunomiaBenchConfig::revives`]) and
+//!   rejoins by resend from the feeders' window floors (state transfer,
+//!   not replay).
 //!
 //! # Flow control: credits, not drops
 //!
@@ -44,7 +43,7 @@
 //!
 //! # Grant batching: one doorbell per feeder thread, not per lane
 //!
-//! Acks are not sent per frame: a shard folds every grant of one drain
+//! Acks are not sent per frame: a replica folds every grant of one drain
 //! sweep into a single [`GrantBatch`] ring entry per feeder thread (max
 //! ack, latest credit per lane) and rings that thread's doorbell at most
 //! once per batch — and only when the batch carries a credit worth a
@@ -58,8 +57,8 @@
 //! towards remote datacenters), the same quantity the paper plots.
 //! [`run_eunomia_service_with_stats`] additionally returns the
 //! [`ServiceStats`] the hot path accumulates: ids/s at stabilization,
-//! batch-size and stabilization-latency distributions, per-shard theta
-//! sweep timings, grant-batch occupancy, and the flow-control signals
+//! batch-size and stabilization-latency distributions, theta sweep
+//! timings, grant-batch occupancy, and the flow-control signals
 //! (credit stalls, retransmitted ids, the advertised-window timeline).
 
 use crate::ThroughputTimeline;
@@ -86,10 +85,9 @@ pub struct EunomiaBenchConfig {
     pub lanes_per_feeder: usize,
     /// Number of Eunomia replicas (1 = the non-fault-tolerant service).
     pub replicas: usize,
-    /// Stabilizer shard threads per replica: the lane table is split
-    /// into this many contiguous slices, each swept by its own thread
-    /// (per-shard tournament-tree minima folded into the global cutoff
-    /// by a cheap combiner). `1` reproduces the single-threaded sweep.
+    /// Stabilization threads per replica. The only accepted value is `1`:
+    /// each replica runs one stabilization loop over all its lanes, and
+    /// [`run_eunomia_service_with_stats`] rejects any other value.
     pub stabilizers: usize,
     /// Measured duration.
     pub duration: Duration,
@@ -172,25 +170,23 @@ const MAX_FRAME_IDS: usize = 4096;
 /// coalescing for throughput.
 const COALESCE_DEADLINE_INTERVALS: u32 = 8;
 
-/// Geometry of one run: lane-to-thread and lane-to-shard maps shared by
-/// feeders, shard threads, and the supervisor.
+/// Geometry of one run: the lane-to-feeder-thread map shared by feeders,
+/// replica threads, and the supervisor.
 #[derive(Clone, Debug)]
 struct Geometry {
     n_lanes: usize,
     lanes_per_feeder: usize,
     n_groups: usize,
-    n_shards: usize,
 }
 
 impl Geometry {
     /// `cfg` must have passed [`run_eunomia_service_with_stats`]'s
-    /// checks: every count positive, no more stabilizers than lanes.
+    /// checks: every count positive.
     fn new(cfg: &EunomiaBenchConfig) -> Self {
         Geometry {
             n_lanes: cfg.feeders,
             lanes_per_feeder: cfg.lanes_per_feeder,
             n_groups: cfg.feeders.div_ceil(cfg.lanes_per_feeder),
-            n_shards: cfg.stabilizers,
         }
     }
 
@@ -199,31 +195,18 @@ impl Geometry {
         lane / self.lanes_per_feeder
     }
 
-    /// Stabilizer shard owning `lane` (contiguous slices).
-    fn shard_of(&self, lane: usize) -> usize {
-        lane * self.n_shards / self.n_lanes
-    }
-
     /// Lane range `[lo, hi)` of feeder-thread group `g`.
     fn group_lanes(&self, g: usize) -> (usize, usize) {
         let lo = g * self.lanes_per_feeder;
         (lo, ((g + 1) * self.lanes_per_feeder).min(self.n_lanes))
     }
 
-    /// Lane range `[lo, hi)` of stabilizer shard `s`.
-    fn shard_lanes(&self, s: usize) -> (usize, usize) {
-        let lo = (s * self.n_lanes).div_ceil(self.n_shards);
-        let hi = ((s + 1) * self.n_lanes).div_ceil(self.n_shards);
-        (lo, hi)
-    }
-
-    /// Capacity of one shard's frame ring. Scales with the shard's lane
-    /// count: shallower rings concentrate producer contention on the
-    /// ring's head, which costs more than the queued frames' cache
-    /// footprint saves.
-    fn shard_ring_capacity(&self, s: usize) -> usize {
-        let (lo, hi) = self.shard_lanes(s);
-        ((hi - lo) * 4).max(16)
+    /// Capacity of one replica's frame ring. Scales with the lane count:
+    /// shallower rings concentrate producer contention on the ring's
+    /// head, which costs more than the queued frames' cache footprint
+    /// saves.
+    fn ring_capacity(&self) -> usize {
+        (self.n_lanes * 4).max(16)
     }
 }
 
@@ -231,14 +214,10 @@ struct Shared {
     stop: AtomicBool,
     alive: Vec<AtomicBool>,
     beats: Vec<AtomicU64>,
-    /// `[replica][shard]`: the shard thread's published tournament-tree
-    /// minimum over its own lanes. The combiner (any shard of the same
-    /// replica) folds these into the replica's global stable cutoff.
-    shard_watermark: Vec<Vec<AtomicU64>>,
-    /// `[shard]`: highest stable time any leader has published for the
-    /// shard's lane slice — what followers discard by, and the
-    /// count-once guard across overlapping leaders during fail-over.
-    stable_published: Vec<AtomicU64>,
+    /// Highest stable time any leader has published — what followers
+    /// discard by, and the count-once guard across overlapping leaders
+    /// during fail-over.
+    stable_published: AtomicU64,
     stabilized: AtomicU64,
     epoch: Instant,
 }
@@ -273,7 +252,7 @@ fn feeder_loop(
     geo: &Geometry,
     cfg: &EunomiaBenchConfig,
     shared: &Shared,
-    frame_txs: &[Vec<Sender<ToReplica>>],
+    frame_txs: &[Sender<ToReplica>],
     grants: &Receiver<GrantBatch>,
     start: &Barrier,
 ) -> ServiceStats {
@@ -298,10 +277,10 @@ fn feeder_loop(
     // BENCHMARK.json workload runs one, so the benchmark sees only the
     // stretched sleeps. Without it (4 pairs, 10 s): svc-rate p50/p99
     // 2.4/24.1 -> 2.0/17.2 ms, cpu_ns_per_op 20.7 -> 21.7; svc-fanin
-    // 22.2/96 -> 22.3/95 ms here, 22 -> 25 ms p50 in 4 of 4 of the
-    // issue's runs. Unresolved at that count; the multi-thread cells it
-    // exists for (`perf_service`, 16-256 threads) are not in the
-    // benchmark.
+    // 22.2/96 -> 22.3/95 ms here, 22 -> 25 ms p50 in another set of 4
+    // runs. Unresolved at that count; the multi-thread drivers it exists
+    // for are `fig2`/`fig3`/`fig4` and `ablation_batching`, which run
+    // 15-75 thread-per-lane feeders and are not in the benchmark.
     let mut jitter_state = (0x9E37_79B9_7F4A_7C15u64 ^ group as u64) | 1;
     let mut jitter = move |d: Duration| {
         jitter_state ^= jitter_state << 13;
@@ -329,7 +308,7 @@ fn feeder_loop(
     let mut backoff = cfg.batch_interval;
     let mut rotate = 0usize;
 
-    // Wait for every replica shard to come up before generating: without
+    // Wait for every replica to come up before generating: without
     // the barrier the feeder fleet floods the rings while replicas are
     // still spawning, and the first seconds of the credit timeline show
     // zero-credit grants that are a startup artifact, not flow control.
@@ -424,7 +403,7 @@ fn feeder_loop(
             } else {
                 None
             };
-            for (r, txs) in frame_txs.iter().enumerate() {
+            for (r, tx) in frame_txs.iter().enumerate() {
                 if dead[r] {
                     continue;
                 }
@@ -504,13 +483,12 @@ fn feeder_loop(
                 }
                 let newest = frame.ids.last().copied();
                 let resent = frame.ids.partition_point(|&ts| ts <= sent_before) as u64;
-                let shard = geo.shard_of(lane_lo + lane);
                 // A full channel defers the frame; nothing is counted as
                 // sent (`note_sent` advances only on success: skipping
                 // ids would break the contiguous-suffix contract the
                 // watermark dedup relies on), so the next pass re-builds
                 // the same suffix.
-                match txs[shard].try_send(ToReplica::Frame(frame)) {
+                match tx.try_send(ToReplica::Frame(frame)) {
                     Ok(()) => {
                         sent_something = true;
                         last_ship[slot(lane, r)] = Instant::now();
@@ -570,15 +548,13 @@ fn feeder_loop(
     stats
 }
 
-/// One stabilizer shard thread: replica `me`, lane slice
-/// `geo.shard_lanes(shard)`, its own frame ring and
-/// [`ShardedReplicaState`]. Grants are coalesced per feeder-thread group
-/// and flushed as one [`GrantBatch`] (plus at most one doorbell unpark)
-/// per sweep.
+/// The stabilization thread of replica `me`: its frame ring and a
+/// [`ShardedReplicaState`] over every lane. Grants are coalesced per
+/// feeder-thread group and flushed as one [`GrantBatch`] (plus at most
+/// one doorbell unpark) per sweep.
 #[allow(clippy::too_many_arguments)]
-fn replica_shard_loop(
+fn replica_loop(
     me: usize,
-    shard: usize,
     geo: &Geometry,
     cfg: &EunomiaBenchConfig,
     shared: &Shared,
@@ -587,32 +563,26 @@ fn replica_shard_loop(
     feeders: &[std::thread::Thread],
     start: Option<&Barrier>,
 ) -> ServiceStats {
-    let (lane_lo, lane_hi) = geo.shard_lanes(shard);
-    let n_local = lane_hi - lane_lo;
-    let mut state = ShardedReplicaState::new(ReplicaId(me as u32), n_local);
+    let mut state = ShardedReplicaState::new(ReplicaId(me as u32), geo.n_lanes);
     let mut stats = ServiceStats::default();
     let mut frames: Vec<ToReplica> = Vec::with_capacity(DRAIN_MAX);
     let mut latency_scratch: Vec<u64> = Vec::new();
-    let ring_cap = geo.shard_ring_capacity(shard) as f64;
+    let ring_cap = geo.ring_capacity() as f64;
     let budget = cfg.credit_budget.min(u32::MAX as usize) as u32;
-    // Last credit advertised per local lane. Starting at zero makes the
+    // Last credit advertised per lane. Starting at zero makes the
     // first theta tick advertise every lane — on a fresh start that is
     // the opening grant, and on revival it is what tells parked feeders
     // the replica is back without them having to poll.
-    let mut advertised: Vec<u32> = vec![0; n_local];
-    // One grant coalescer per feeder-thread group whose lanes intersect
-    // this shard, plus its doorbell-worthiness flag and a spare batch
-    // allocation.
-    let group_lo = geo.group_of(lane_lo);
-    let group_hi = geo.group_of(lane_hi - 1);
-    let n_groups_local = group_hi - group_lo + 1;
-    let mut coalescers: Vec<GrantCoalescer> = (group_lo..=group_hi)
+    let mut advertised: Vec<u32> = vec![0; geo.n_lanes];
+    // One grant coalescer per feeder-thread group, plus its
+    // doorbell-worthiness flag and a spare batch allocation.
+    let mut coalescers: Vec<GrantCoalescer> = (0..geo.n_groups)
         .map(|g| {
-            let (glo, ghi) = geo.group_lanes(g);
-            GrantCoalescer::new(PartitionId(glo as u32), ghi - glo)
+            let (lo, hi) = geo.group_lanes(g);
+            GrantCoalescer::new(PartitionId(lo as u32), hi - lo)
         })
         .collect();
-    let mut ring_worthy = vec![false; n_groups_local];
+    let mut ring_worthy = vec![false; geo.n_groups];
     let mut batch_spares: Vec<GrantBatch> = Vec::new();
     let reopen = (MAX_FRAME_IDS / 4) as u32;
     if let Some(b) = start {
@@ -642,13 +612,11 @@ fn replica_shard_loop(
         shared.beats[me].store(shared.now_ns(), Ordering::Relaxed);
         let fill = rx.len() as f64 / ring_cap;
         for msg in frames.drain(..) {
-            let mut frame = match msg {
+            let frame = match msg {
                 ToReplica::Frame(f) => f,
                 ToReplica::Stop => break 'run,
             };
-            let global_lane = frame.partition.index();
-            let local_lane = global_lane - lane_lo;
-            frame.partition = PartitionId(local_lane as u32);
+            let lane = frame.partition;
             let n_ids = frame.ids.len() as u64;
             state
                 .ingest_owned(frame)
@@ -660,11 +628,11 @@ fn replica_shard_loop(
             // by. Not sent per frame — folded into this sweep's batch for
             // the owning feeder thread (max ack, latest credit), flushed
             // below as one ring entry + at most one doorbell unpark.
-            if let Some(mut grant) = state.advertise(PartitionId(local_lane as u32), fill, budget) {
+            if let Some(mut grant) = state.advertise(lane, fill, budget) {
                 grant.pressure = (fill * 255.0) as u8;
-                advertised[local_lane] = grant.credit;
-                let g = geo.group_of(global_lane) - group_lo;
-                coalescers[g].note(PartitionId(global_lane as u32), grant);
+                advertised[lane.index()] = grant.credit;
+                let g = geo.group_of(lane.index());
+                coalescers[g].note(lane, grant);
                 // A per-frame grant is doorbell-worthy when the credit is
                 // worth a context switch: unparking a thousand overloaded
                 // lanes to hand each a zero is a wake storm that starves
@@ -681,36 +649,30 @@ fn replica_shard_loop(
             shared.beats[me].store(shared.now_ns(), Ordering::Relaxed);
             let leader = shared.leader(me, cfg.omega_timeout);
             state.set_leader(ReplicaId(leader.unwrap_or(me) as u32));
-            // Publish this shard's tournament-tree minimum and fold every
-            // shard's published minimum into the replica's global stable
-            // cutoff — the combiner is this handful of atomic loads.
-            shared.shard_watermark[me][shard].store(state.stable_time().0, Ordering::Release);
-            let mut cutoff = u64::MAX;
-            for w in &shared.shard_watermark[me] {
-                cutoff = cutoff.min(w.load(Ordering::Acquire));
-            }
             if leader == Some(me) {
-                // Tentatively drain this shard's lanes up to the combined
-                // cutoff, buffering 1-in-64 sampled latencies (a drain
-                // can cover tens of millions of ids; a per-id sample
-                // vector is tens of megabytes re-written every sweep and
-                // evicts the very backlog chunks the drain is scanning).
-                // Count and flush the samples only if this drain advanced
-                // the shard's globally published stable time, so
-                // overlapping leaders during fail-over can neither
-                // double-count nor double-sample the histogram.
+                // Tentatively drain up to the stable cutoff, buffering
+                // 1-in-64 sampled latencies (a drain can cover tens of
+                // millions of ids; a per-id sample vector is tens of
+                // megabytes re-written every sweep and evicts the very
+                // backlog chunks the drain is scanning). Count and flush
+                // the samples only if this drain advanced the globally
+                // published stable time, so overlapping leaders during
+                // fail-over can neither double-count nor double-sample
+                // the histogram.
                 let now = shared.now_ns();
                 latency_scratch.clear();
                 let scratch = &mut latency_scratch;
                 let mut emitted = 0u64;
-                let stable = state.leader_process_stable_up_to(Timestamp(cutoff), |_, ts| {
+                let stable = state.leader_process_stable_with(|_, ts| {
                     if emitted.is_multiple_of(64) {
                         scratch.push(now.saturating_sub(ts.0));
                     }
                     emitted += 1;
                 });
                 if let Some(stable) = stable {
-                    let prev = shared.stable_published[shard].fetch_max(stable.0, Ordering::SeqCst);
+                    let prev = shared
+                        .stable_published
+                        .fetch_max(stable.0, Ordering::SeqCst);
                     if prev < stable.0 {
                         stats.stabilized_ids += emitted;
                         shared.stabilized.fetch_add(emitted, Ordering::Relaxed);
@@ -720,7 +682,7 @@ fn replica_shard_loop(
                     }
                 }
             } else {
-                let stable = Timestamp(shared.stable_published[shard].load(Ordering::Relaxed));
+                let stable = Timestamp(shared.stable_published.load(Ordering::Relaxed));
                 state.apply_stable(stable);
             }
             // Re-advertise throttled lanes: stabilization just freed
@@ -729,20 +691,19 @@ fn replica_shard_loop(
             // advertised at half the budget or more are still OPEN and
             // will be refreshed by their own next frame's grant.
             let fill = rx.len() as f64 / ring_cap;
-            for (local_lane, adv) in advertised.iter_mut().enumerate() {
+            for (lane, adv) in advertised.iter_mut().enumerate() {
                 if *adv >= budget / 2 {
                     continue;
                 }
-                if let Some(grant) = state.advertise(PartitionId(local_lane as u32), fill, budget) {
+                if let Some(grant) = state.advertise(PartitionId(lane as u32), fill, budget) {
                     // Ring the doorbell only on the reopening *edge*: a
                     // lane already holding workable credit is pacing on
                     // its own accrual, and re-waking every throttled lane
                     // every tick is the wake storm all over again.
                     let reopened = *adv < reopen && grant.credit >= reopen;
                     *adv = grant.credit;
-                    let global_lane = lane_lo + local_lane;
-                    let g = geo.group_of(global_lane) - group_lo;
-                    coalescers[g].note(PartitionId(global_lane as u32), grant);
+                    let g = geo.group_of(lane);
+                    coalescers[g].note(PartitionId(lane as u32), grant);
                     if reopened {
                         ring_worthy[g] = true;
                     }
@@ -770,12 +731,12 @@ fn replica_shard_loop(
                 }
                 let worthy = ring_worthy[g] && batch.workable(reopen);
                 let lanes_in_batch = batch.grants.len() as u64;
-                match grant_txs[group_lo + g].try_send(batch) {
+                match grant_txs[g].try_send(batch) {
                     Ok(()) => {
                         stats.grant_batches += 1;
                         stats.grant_batch_lanes.record(lanes_in_batch);
                         if worthy {
-                            feeders[group_lo + g].unpark();
+                            feeders[g].unpark();
                             stats.doorbell_unparks += 1;
                         }
                         ring_worthy[g] = false;
@@ -818,63 +779,46 @@ pub fn run_eunomia_service_with_stats(
         "need feeders and replicas"
     );
     assert!(
-        cfg.lanes_per_feeder > 0 && cfg.stabilizers > 0,
-        "need at least one lane per feeder thread and one stabilizer"
+        cfg.lanes_per_feeder > 0,
+        "need at least one lane per feeder thread"
     );
     assert!(
-        cfg.stabilizers <= cfg.feeders,
-        "{} stabilizers cannot split {} lanes: a stabilizer shard needs at least one lane",
-        cfg.stabilizers,
-        cfg.feeders
+        cfg.stabilizers == 1,
+        "{} stabilizers per replica: each replica runs one stabilization thread, so only 1 is accepted",
+        cfg.stabilizers
     );
     let geo = Arc::new(Geometry::new(cfg));
-    let n_shards = geo.n_shards;
     let shared = Arc::new(Shared {
         stop: AtomicBool::new(false),
         alive: (0..cfg.replicas).map(|_| AtomicBool::new(true)).collect(),
         beats: (0..cfg.replicas).map(|_| AtomicU64::new(0)).collect(),
-        shard_watermark: (0..cfg.replicas)
-            .map(|_| (0..n_shards).map(|_| AtomicU64::new(0)).collect())
-            .collect(),
-        stable_published: (0..n_shards).map(|_| AtomicU64::new(0)).collect(),
+        stable_published: AtomicU64::new(0),
         stabilized: AtomicU64::new(0),
         epoch: Instant::now(),
     });
 
-    // Frame rings: one per (replica, shard).
-    let mut frame_txs: Vec<Vec<Sender<ToReplica>>> = Vec::new();
-    let mut frame_rxs: Vec<Vec<Receiver<ToReplica>>> = Vec::new();
-    for _ in 0..cfg.replicas {
-        let mut txs = Vec::new();
-        let mut rxs = Vec::new();
-        for s in 0..n_shards {
-            let (tx, rx) = bounded::<ToReplica>(geo.shard_ring_capacity(s));
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        frame_txs.push(txs);
-        frame_rxs.push(rxs);
-    }
+    // Frame rings: one per replica.
+    let (frame_txs, frame_rxs): (Vec<Sender<ToReplica>>, Vec<Receiver<ToReplica>>) = (0..cfg
+        .replicas)
+        .map(|_| bounded::<ToReplica>(geo.ring_capacity()))
+        .unzip();
     // Grant rings: one per feeder thread, carrying coalesced batches from
-    // every (replica, shard). Batches supersede per lane (and a failed
-    // send is restored into the next sweep's batch), so the ring only
-    // needs to cover the shards' natural burstiness.
-    let mut grant_txs = Vec::new();
-    let mut grant_rxs = Vec::new();
-    for _ in 0..geo.n_groups {
-        let (tx, rx) = bounded::<GrantBatch>((cfg.replicas * n_shards * 8).max(32));
-        grant_txs.push(tx);
-        grant_rxs.push(rx);
-    }
+    // every replica. Batches supersede per lane (and a failed send is
+    // restored into the next sweep's batch), so the ring only needs to
+    // cover the replicas' natural burstiness.
+    let (grant_txs, grant_rxs): (Vec<Sender<GrantBatch>>, Vec<Receiver<GrantBatch>>) = (0..geo
+        .n_groups)
+        .map(|_| bounded::<GrantBatch>((cfg.replicas * 8).max(32)))
+        .unzip();
 
-    // The start barrier covers every feeder, every stabilizer shard, and
-    // the supervisor: measurement (and generation) begins only once the
+    // The start barrier covers every feeder, every replica, and the
+    // supervisor: measurement (and generation) begins only once the
     // whole topology is up. Without it the feeder fleet spawns first,
     // floods the rings, and the first seconds of every run measure the
     // spawn storm instead of the service.
-    let start = Arc::new(Barrier::new(geo.n_groups + cfg.replicas * n_shards + 1));
+    let start = Arc::new(Barrier::new(geo.n_groups + cfg.replicas + 1));
 
-    // Feeders first: stabilizers need their `Thread` handles to ring the
+    // Feeders first: replicas need their `Thread` handles to ring the
     // grant doorbell (`unpark`) when a credit window reopens.
     let mut feeder_handles = Vec::new();
     for (g, rx) in grant_rxs.into_iter().enumerate() {
@@ -889,18 +833,17 @@ pub fn run_eunomia_service_with_stats(
     }
     let feeder_threads: Arc<Vec<std::thread::Thread>> =
         Arc::new(feeder_handles.iter().map(|h| h.thread().clone()).collect());
-    let spawn_shard = |me: usize, s: usize, with_barrier: bool| {
+    let spawn_replica = |me: usize, with_barrier: bool| {
         let cfg = cfg.clone();
         let geo = geo.clone();
         let shared = shared.clone();
-        let rx = frame_rxs[me][s].clone();
+        let rx = frame_rxs[me].clone();
         let grant_txs = grant_txs.clone();
         let feeder_threads = feeder_threads.clone();
         let start = with_barrier.then(|| start.clone());
         std::thread::spawn(move || {
-            replica_shard_loop(
+            replica_loop(
                 me,
-                s,
                 &geo,
                 &cfg,
                 &shared,
@@ -911,13 +854,8 @@ pub fn run_eunomia_service_with_stats(
             )
         })
     };
-    let mut shard_handles: Vec<Vec<Option<std::thread::JoinHandle<ServiceStats>>>> = (0..cfg
-        .replicas)
-        .map(|me| {
-            (0..n_shards)
-                .map(|s| Some(spawn_shard(me, s, true)))
-                .collect()
-        })
+    let mut replica_handles: Vec<Option<std::thread::JoinHandle<ServiceStats>>> = (0..cfg.replicas)
+        .map(|me| Some(spawn_replica(me, true)))
         .collect();
     start.wait();
 
@@ -953,29 +891,22 @@ pub fn run_eunomia_service_with_stats(
                 if !revive {
                     shared.alive[r].store(false, Ordering::SeqCst);
                 } else if !shared.alive[r].load(Ordering::SeqCst) {
-                    // Revive: reap the dead shard threads (folding their
-                    // stats in), discard frames that went stale in the
-                    // rings while the replica was down (a fresh replica
-                    // re-learns the stream from the feeders' resend — a
-                    // stale frame would land as duplicates), then restart
-                    // the shards with fresh state.
-                    for slot in &mut shard_handles[r] {
-                        if let Some(h) = slot.take() {
-                            if let Ok(s) = h.join() {
-                                stats.merge(&s);
-                            }
+                    // Revive: reap the dead replica thread (folding its
+                    // stats in), discard frames that went stale in its
+                    // ring while it was down (a fresh replica re-learns
+                    // the stream from the feeders' resend — a stale frame
+                    // would land as duplicates), then restart it with
+                    // fresh state.
+                    if let Some(h) = replica_handles[r].take() {
+                        if let Ok(s) = h.join() {
+                            stats.merge(&s);
                         }
                     }
-                    for (s, rx) in frame_rxs[r].iter().enumerate() {
-                        stale.clear();
-                        rx.try_recv_batch(&mut stale, usize::MAX);
-                        stale.clear();
-                        shared.shard_watermark[r][s].store(0, Ordering::Release);
-                    }
+                    stale.clear();
+                    frame_rxs[r].try_recv_batch(&mut stale, usize::MAX);
+                    stale.clear();
                     shared.alive[r].store(true, Ordering::SeqCst);
-                    for (s, slot) in shard_handles[r].iter_mut().enumerate() {
-                        *slot = Some(spawn_shard(r, s, false));
-                    }
+                    replica_handles[r] = Some(spawn_replica(r, false));
                 }
             }
         }
@@ -987,10 +918,8 @@ pub fn run_eunomia_service_with_stats(
         }
     }
     shared.stop.store(true, Ordering::SeqCst);
-    for txs in &frame_txs {
-        for tx in txs {
-            let _ = tx.try_send(ToReplica::Stop);
-        }
+    for tx in &frame_txs {
+        let _ = tx.try_send(ToReplica::Stop);
     }
     for t in feeder_threads.iter() {
         t.unpark();
@@ -1001,11 +930,9 @@ pub fn run_eunomia_service_with_stats(
             stats.merge(&s);
         }
     }
-    for replica in shard_handles {
-        for h in replica.into_iter().flatten() {
-            if let Ok(s) = h.join() {
-                stats.merge(&s);
-            }
+    for h in replica_handles.into_iter().flatten() {
+        if let Ok(s) = h.join() {
+            stats.merge(&s);
         }
     }
     stats.elapsed = elapsed;
@@ -1056,10 +983,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "5 stabilizers cannot split 4 lanes")]
-    fn more_stabilizers_than_lanes_is_rejected() {
+    #[should_panic(expected = "2 stabilizers per replica")]
+    fn more_than_one_stabilizer_is_rejected() {
         let mut cfg = quick(4, 1);
-        cfg.stabilizers = 5;
+        cfg.stabilizers = 2;
         run_eunomia_service(&cfg);
     }
 
@@ -1071,17 +998,15 @@ mod tests {
         assert!(stats.accepted_ids >= 3 * t.total, "replicas ingest 3x");
     }
 
-    /// A multiplexed topology (lanes sharing feeder threads) and sharded
-    /// stabilizers must preserve the service semantics: progress on every
-    /// lane, zero duplicates, and grants batched with at most one unpark
-    /// per enqueued batch.
+    /// A multiplexed topology (lanes sharing feeder threads) must preserve
+    /// the service semantics: progress, zero duplicates, and grants
+    /// batched with at most one unpark per enqueued batch.
     #[test]
-    fn muxed_lanes_and_sharded_stabilizers_preserve_semantics() {
+    fn muxed_lanes_preserve_semantics() {
         let cfg = EunomiaBenchConfig {
             feeders: 16,
             lanes_per_feeder: 4,
             replicas: 2,
-            stabilizers: 2,
             duration: Duration::from_millis(900),
             window_cap: 512,
             retransmit_after: Duration::from_secs(3600),
@@ -1173,6 +1098,9 @@ mod tests {
     /// stabilizing through the outage (the surviving replicas hold
     /// quorumless Eunomia up fine — stabilization only needs the leader)
     /// and the revived replica must rejoin without duplicate emissions.
+    /// Recovery is judged on machine-independent properties: the final
+    /// second still stabilizes, the advertised-credit timeline ends off
+    /// the floor, and the rejoin resend costs at most 0.1% duplicates.
     #[test]
     fn killed_replica_revives_and_rejoins() {
         let cfg = EunomiaBenchConfig {
@@ -1186,8 +1114,11 @@ mod tests {
             ..EunomiaBenchConfig::default()
         };
         let (t, stats) = run_eunomia_service_with_stats(&cfg);
-        let tail: u64 = t.per_second.iter().skip(2).sum();
-        assert!(tail > 0, "no progress after revival: {:?}", t.per_second);
+        assert!(
+            t.per_second.len() >= 3 && t.per_second.last().is_some_and(|&n| n > 0),
+            "no stabilization in the final second after revival: {:?}",
+            t.per_second
+        );
         // The revived replica accepted a resend of the in-flight window,
         // not a replay of history: nothing was emitted twice, so the
         // stabilized total counts every id at most once.
@@ -1195,6 +1126,18 @@ mod tests {
             stats.stabilized_ids <= stats.accepted_ids,
             "stabilized {} > accepted {}",
             stats.stabilized_ids,
+            stats.accepted_ids
+        );
+        let last_credit = stats.credit_timeline.last().copied();
+        assert!(
+            matches!(last_credit, Some(v) if v != ServiceStats::NO_CREDIT_SAMPLE && v > 0),
+            "credit timeline did not recover after revival: {:?}",
+            stats.credit_timeline
+        );
+        assert!(
+            stats.duplicate_ids * 1000 <= stats.accepted_ids,
+            "revival resend produced {} duplicates against {} accepted",
+            stats.duplicate_ids,
             stats.accepted_ids
         );
     }

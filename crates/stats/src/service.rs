@@ -1,10 +1,9 @@
 //! Counters and distributions of one threaded-service run.
 //!
 //! The threaded runtime (`eunomia-runtime`) fills one [`ServiceStats`]
-//! per run; `eunomia-geo` carries it on `RunReport` (alongside the
-//! simulator's `EngineStats`) and `perf_service` commits it to
-//! `BENCH_service.json`. It lives here so the runtime, the geo layer and
-//! the bench harnesses can share it without depending on each other.
+//! per run; the service figures and the benchmark read it. It lives here
+//! so the runtime and the bench harnesses can share it without depending
+//! on each other.
 
 use crate::Histogram;
 use std::time::Duration;
@@ -46,17 +45,17 @@ pub struct ServiceStats {
     /// the advertised-window timeline. [`ServiceStats::NO_CREDIT_SAMPLE`]
     /// marks seconds in which no grant was issued.
     ///
-    /// With sharded stabilizers each shard thread records only the grants
-    /// *it* issued; [`merge`](ServiceStats::merge) folds the per-shard
-    /// series element-wise by minimum (a second one shard never sampled
-    /// keeps the other shards' minimum — the sentinel always loses), so
-    /// the merged run-level series is one per-second min over every lane
-    /// of every shard, exactly what a single-threaded stabilizer would
-    /// have recorded.
+    /// Each stabilizer thread (one per replica, plus the thread a revival
+    /// replaced) records only the grants *it* issued;
+    /// [`merge`](ServiceStats::merge) folds the per-thread series
+    /// element-wise by minimum (a second one thread never sampled keeps
+    /// the other threads' minimum — the sentinel always loses), so the
+    /// merged run-level series is one per-second min over every lane of
+    /// every stabilizer thread.
     pub credit_timeline: Vec<u64>,
     /// Stabilizer-side: wall-clock nanoseconds of each theta sweep (one
-    /// sample per shard thread per tick: publish the shard minimum,
-    /// combine the global cutoff, drain or discard the stable prefix).
+    /// sample per stabilizer thread per tick: compute the stable cutoff,
+    /// drain or discard the stable prefix, re-advertise throttled lanes).
     pub theta_sweep_ns: Histogram,
     /// Replica-side: lanes carried per enqueued [`GrantBatch`] — the
     /// grant-coalescing occupancy (1 everywhere means batching never
@@ -143,10 +142,11 @@ impl ServiceStats {
         self.ring_full_stalls += other.ring_full_stalls;
         self.retransmitted_ids += other.retransmitted_ids;
         self.advertised_credits.merge(&other.advertised_credits);
-        // Per-shard timelines fold element-wise by minimum into one
-        // per-second min series. The no-sample sentinel is `u64::MAX`, so
-        // it loses against any real sample on either side and survives
-        // only for seconds in which *no* shard issued a grant.
+        // Per-stabilizer-thread timelines fold element-wise by minimum
+        // into one per-second min series. The no-sample sentinel is
+        // `u64::MAX`, so it loses against any real sample on either side
+        // and survives only for seconds in which *no* thread issued a
+        // grant.
         if self.credit_timeline.len() < other.credit_timeline.len() {
             self.credit_timeline
                 .resize(other.credit_timeline.len(), Self::NO_CREDIT_SAMPLE);
@@ -162,7 +162,7 @@ impl ServiceStats {
     }
 
     /// Theta-sweep duration percentile in microseconds (`None` until a
-    /// stabilizer shard has swept at least once).
+    /// stabilizer thread has swept at least once).
     pub fn theta_sweep_us(&self, p: f64) -> Option<f64> {
         self.theta_sweep_ns.percentile(p).map(|ns| ns as f64 / 1e3)
     }
@@ -254,34 +254,33 @@ mod tests {
         assert_eq!(a.advertised_credits.count(), 1);
     }
 
-    /// The multi-thread stabilizer fold: three shards of one replica,
-    /// each sampling only its own lanes in disjoint and overlapping
-    /// seconds, merge into the one per-second min series a single-thread
-    /// stabilizer over the union of lanes would have recorded — no shard
-    /// clobbers another's seconds, and a second nobody sampled stays the
-    /// sentinel instead of a spurious zero.
+    /// The multi-thread stabilizer fold: three stabilizer threads (say,
+    /// three replicas), each sampling only its own grants in disjoint and
+    /// overlapping seconds, merge into one per-second min series — no
+    /// thread clobbers another's seconds, and a second nobody sampled
+    /// stays the sentinel instead of a spurious zero.
     #[test]
-    fn per_shard_timelines_fold_into_one_min_series() {
-        let mut shard0 = ServiceStats::default();
-        shard0.record_credit(0, 800);
-        shard0.record_credit(2, 300);
-        shard0.theta_sweep_ns.record(1_000);
-        shard0.grant_batch_lanes.record(16);
-        shard0.grant_batches = 1;
-        shard0.doorbell_unparks = 1;
-        let mut shard1 = ServiceStats::default();
-        shard1.record_credit(0, 900); // Loses second 0 to shard0's 800.
-        shard1.record_credit(1, 40); // Only shard with a sample here.
-        let mut shard2 = ServiceStats::default();
-        shard2.record_credit(4, 700); // Longer series than the others.
-        shard2.theta_sweep_ns.record(3_000);
-        shard2.grant_batch_lanes.record(4);
-        shard2.grant_batches = 1;
+    fn per_thread_timelines_fold_into_one_min_series() {
+        let mut t0 = ServiceStats::default();
+        t0.record_credit(0, 800);
+        t0.record_credit(2, 300);
+        t0.theta_sweep_ns.record(1_000);
+        t0.grant_batch_lanes.record(16);
+        t0.grant_batches = 1;
+        t0.doorbell_unparks = 1;
+        let mut t1 = ServiceStats::default();
+        t1.record_credit(0, 900); // Loses second 0 to t0's 800.
+        t1.record_credit(1, 40); // Only thread with a sample here.
+        let mut t2 = ServiceStats::default();
+        t2.record_credit(4, 700); // Longer series than the others.
+        t2.theta_sweep_ns.record(3_000);
+        t2.grant_batch_lanes.record(4);
+        t2.grant_batches = 1;
 
         let mut run = ServiceStats::default();
-        run.merge(&shard0);
-        run.merge(&shard1);
-        run.merge(&shard2);
+        run.merge(&t0);
+        run.merge(&t1);
+        run.merge(&t2);
         assert_eq!(
             run.credit_timeline,
             vec![800, 40, 300, ServiceStats::NO_CREDIT_SAMPLE, 700]
