@@ -540,6 +540,21 @@ impl LaneSender {
         self.window.push_back(ts);
     }
 
+    /// Appends the `n` consecutive ids `first, first + 1, ...` — what `n`
+    /// calls of [`push`](Self::push) would append, reserved at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) unless `first` exceeds the window's newest id.
+    pub fn push_run(&mut self, first: Timestamp, n: usize) {
+        debug_assert!(
+            self.window.back().is_none_or(|&last| first > last),
+            "pushed ids must strictly increase"
+        );
+        self.window
+            .extend((first.0..first.0 + n as u64).map(Timestamp));
+    }
+
     /// Appends every windowed id above `floor` to `out` in timestamp
     /// order: one binary search, then bulk copies.
     pub fn append_above(&self, floor: Timestamp, out: &mut Vec<Timestamp>) {
@@ -635,11 +650,17 @@ impl LaneSender {
             .saturating_sub(self.count_le(self.sent[r]))
     }
 
+    /// Windowed ids not yet shipped to `replica`, whether or not its
+    /// credit window admits them.
+    pub fn unsent(&self, replica: ReplicaId) -> usize {
+        self.window.len() - self.count_le(self.sent[replica.index()])
+    }
+
     /// Whether the lane is credit-starved for `replica`: unshipped ids
     /// exist but the credit window (`EXHAUSTED` in the module docs'
     /// state machine) admits none of them.
     pub fn starved(&self, replica: ReplicaId) -> bool {
-        self.count_le(self.sent[replica.index()]) < self.window.len() && self.sendable(replica) == 0
+        self.unsent(replica) > 0 && self.sendable(replica) == 0
     }
 
     /// Marks a replica as crashed: its stalled ack no longer pins the
@@ -677,11 +698,8 @@ impl LaneSender {
             .map(|(a, _)| *a)
             .min()
             .unwrap_or(Timestamp::MAX);
-        let mut pruned = 0;
-        while self.window.front().is_some_and(|&ts| ts <= min_ack) {
-            self.window.pop_front();
-            pruned += 1;
-        }
+        let pruned = self.count_le(min_ack);
+        self.window.drain(..pruned);
         pruned
     }
 
@@ -925,6 +943,13 @@ impl MuxSender {
         self.window_total += 1;
     }
 
+    /// Appends `n` consecutive ids from `first` to `lane`'s window (see
+    /// [`LaneSender::push_run`]).
+    pub fn push_run(&mut self, lane: usize, first: Timestamp, n: usize) {
+        self.lanes[lane].push_run(first, n);
+        self.window_total += n;
+    }
+
     /// Builds `lane`'s frame for `replica` (see [`LaneSender::build_frame`]);
     /// the frame is tagged with the lane's global [`PartitionId`].
     pub fn build_frame(
@@ -999,6 +1024,11 @@ impl MuxSender {
         self.lanes[lane].sendable(replica)
     }
 
+    /// Windowed ids of `lane` not yet shipped to `replica`.
+    pub fn unsent(&self, lane: usize, replica: ReplicaId) -> usize {
+        self.lanes[lane].unsent(replica)
+    }
+
     /// Whether `lane` is credit-starved for `replica`.
     pub fn starved(&self, lane: usize, replica: ReplicaId) -> bool {
         self.lanes[lane].starved(replica)
@@ -1043,6 +1073,25 @@ mod tests {
         assert_eq!(r.total_accepted(), 3);
         assert_eq!(r.total_duplicates(), 2);
         assert_eq!(r.pending(), 3);
+    }
+
+    #[test]
+    fn a_pushed_run_equals_single_pushes() {
+        let (mut one, mut run) = (LaneSender::new(2), LaneSender::new(2));
+        for ts in 10..15 {
+            one.push(Timestamp(ts));
+        }
+        run.push_run(Timestamp(10), 5);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        one.append_above(Timestamp::ZERO, &mut a);
+        run.append_above(Timestamp::ZERO, &mut b);
+        assert_eq!(a, b);
+        // Pruning is by the lowest ack of the live replicas.
+        for s in [&mut one, &mut run] {
+            assert_eq!(s.on_ack(ReplicaId(0), Timestamp(13)), 0);
+            assert_eq!(s.on_ack(ReplicaId(1), Timestamp(12)), 3);
+            assert_eq!(s.window_len(), 2);
+        }
     }
 
     #[test]

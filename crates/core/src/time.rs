@@ -113,6 +113,20 @@ impl ScalarHlc {
         self.tick(physical, Timestamp::ZERO)
     }
 
+    /// Issues `n` local-event timestamps at one physical reading, as `n`
+    /// calls of [`tick_local`](Self::tick_local) would: `n` consecutive
+    /// ticks, of which the first is returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `n` is zero.
+    pub fn tick_local_run(&mut self, physical: Timestamp, n: u64) -> Timestamp {
+        debug_assert!(n > 0, "a run issues at least one timestamp");
+        let first = self.tick_local(physical);
+        self.max_ts = Timestamp(first.0 + n - 1);
+        first
+    }
+
     /// The latest timestamp issued (`MaxTs` in the paper).
     pub fn last(&self) -> Timestamp {
         self.max_ts
@@ -244,9 +258,9 @@ enum VtRepr {
 /// optimal remote-visibility lower bound (latency from the *originating*
 /// datacenter rather than the farthest one).
 ///
-/// Stored inline (copy, no allocation) for up to `INLINE_DCS` (4)
-/// datacenters; equality and hashing are over the logical entries, so
-/// representation never leaks.
+/// Stored inline (copy, no allocation) for up to `INLINE_DCS`
+/// datacenters, spilled to a pooled buffer beyond; equality and hashing
+/// are over the logical entries, so representation never leaks.
 #[derive(Clone, Debug)]
 pub struct VectorTime(VtRepr);
 
@@ -419,6 +433,22 @@ mod tests {
             let ts = clock.tick(Timestamp(i / 10), Timestamp(i % 7));
             assert!(ts > prev, "timestamps must strictly increase");
             prev = ts;
+        }
+    }
+
+    #[test]
+    fn a_tick_run_equals_repeated_ticks() {
+        for (start, physical, n) in [(0, 50, 1), (0, 50, 7), (90, 50, 4)] {
+            let (mut one, mut run) = (ScalarHlc::new(), ScalarHlc::new());
+            one.tick(Timestamp(start), Timestamp::ZERO);
+            run.tick(Timestamp(start), Timestamp::ZERO);
+            let ticks: Vec<Timestamp> = (0..n)
+                .map(|_| one.tick_local(Timestamp(physical)))
+                .collect();
+            let first = run.tick_local_run(Timestamp(physical), n);
+            assert_eq!(first, ticks[0]);
+            assert_eq!(run.last(), one.last());
+            assert_eq!(Timestamp(first.0 + n - 1), *ticks.last().unwrap());
         }
     }
 

@@ -50,7 +50,11 @@ pub struct PartitionProc {
     /// metadata for good.
     last_flush: Option<SimTime>,
     data_arrival: FxHashMap<(DcId, Timestamp), SimTime>,
-    /// Copies of staged remote updates kept only for apply-log reporting.
+    /// Whether applies are reported to the metrics at all: only the apply
+    /// log and staleness tracking read them.
+    log_applies: bool,
+    /// Copies of staged remote updates kept only for apply reporting
+    /// (empty unless `log_applies`).
     pending_log: FxHashMap<(DcId, Timestamp), eunomia_kv::Update>,
     /// §5 fan-in tree over this datacenter's partitions (None = direct
     /// all-to-one metadata flow).
@@ -87,6 +91,7 @@ impl PartitionProc {
             tree: cfg
                 .metadata_tree_arity
                 .map(|a| FanInTree::new(cfg.partitions_per_dc, a)),
+            log_applies: cfg.apply_log || cfg.track_staleness,
             cfg,
             data_arrival: FxHashMap::default(),
             pending_log: FxHashMap::default(),
@@ -230,6 +235,9 @@ impl PartitionProc {
     }
 
     fn log_apply(&self, ctx: &Context<'_, Msg>, update: &eunomia_kv::Update) {
+        if !self.log_applies {
+            return;
+        }
         self.metrics.record_apply(crate::metrics::ApplyRecord {
             origin: update.origin.0,
             dest: self.dc as u16,
@@ -238,6 +246,13 @@ impl PartitionProc {
             vts: update.vts.as_ticks(),
             at: ctx.now(),
         });
+    }
+
+    /// Reports the apply of the staged remote update `(origin, ts)`.
+    fn log_staged_apply(&mut self, ctx: &Context<'_, Msg>, origin: DcId, ts: Timestamp) {
+        if let Some(u) = self.pending_log.remove(&(origin, ts)) {
+            self.log_apply(ctx, &u);
+        }
     }
 }
 
@@ -325,14 +340,14 @@ impl Process<Msg> for PartitionProc {
                     SystemId::EunomiaKv => {
                         ctx.consume(self.costs.stage_ns);
                         self.data_arrival.insert((origin, ts), ctx.now());
-                        self.pending_log.insert((origin, ts), update.clone());
+                        if self.log_applies {
+                            self.pending_log.insert((origin, ts), update.clone());
+                        }
                         if let Some(id) = self.state.on_remote_data(update) {
                             // The APPLY instruction was already waiting: the
                             // update becomes visible the moment data lands.
                             ctx.consume(self.costs.apply_ns);
-                            if let Some(u) = self.pending_log.remove(&(origin, id.ts)) {
-                                self.log_apply(ctx, &u);
-                            }
+                            self.log_staged_apply(ctx, origin, id.ts);
                             self.record_visibility(ctx, origin, id.ts);
                             let receiver = self.reg.borrow().receiver(self.dc);
                             ctx.send(receiver, Msg::ApplyOk { origin, id });
@@ -345,9 +360,7 @@ impl Process<Msg> for PartitionProc {
                 ctx.consume(self.costs.apply_ns);
                 match self.state.on_apply_request(origin, id) {
                     ApplyOutcome::Applied => {
-                        if let Some(u) = self.pending_log.remove(&(origin, id.ts)) {
-                            self.log_apply(ctx, &u);
-                        }
+                        self.log_staged_apply(ctx, origin, id.ts);
                         self.record_visibility(ctx, origin, id.ts);
                         ctx.send(from, Msg::ApplyOk { origin, id });
                     }

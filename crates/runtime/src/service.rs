@@ -35,40 +35,59 @@
 //! (`credit = (budget - lane_backlog) * (1 - queue_fill)`, see
 //! [`ShardedReplicaState::advertise`]) and a pressure byte (ingest-ring
 //! fill). Feeders honour the grant — a lane whose credit is exhausted
-//! ships nothing and backs off instead of blind-resending — and size
-//! frames by pressure: at low pressure whatever is pending ships
-//! immediately (latency), near the high-water mark small dribbles are
-//! held back until a full frame accumulates (throughput). The
-//! retransmission timeout survives only as a safety net for lost grants.
+//! ships nothing and waits for the replica's doorbell instead of
+//! blind-resending. The retransmission timeout survives only as a safety
+//! net for lost grants.
+//!
+//! When a lane ships is an **age bound**: once its oldest unsent id has
+//! waited the coalesce deadline (`8 x batch_interval`), everything the
+//! credit admits ships. An id waits from when it fell due: for a
+//! rate-limited lane that is its place in the `feeder_rate` schedule, not
+//! the moment the feeder got round to stamping it. Before the deadline,
+//! pressure sets a floor: as the replica's ring fills, a lane holds small
+//! frames back until it has a full frame's worth (throughput); at no
+//! pressure a closed-loop lane ships at once (latency), while a
+//! rate-limited lane still waits for the deadline, so it ships about one
+//! frame per deadline instead of one per dribble. A rate-limited feeder
+//! thread sleeps until its earliest lane deadline.
 //!
 //! # Grant batching: one doorbell per feeder thread, not per lane
 //!
 //! Acks are not sent per frame: a replica folds every grant of one drain
 //! sweep into a single [`GrantBatch`] ring entry per feeder thread (max
 //! ack, latest credit per lane) and rings that thread's doorbell at most
-//! once per batch — and only when the batch carries a credit worth a
-//! context switch (per-frame grants) or a lane's window crossed the
-//! reopening edge (theta re-advertisements). At 1024 lanes the
-//! per-lane doorbell storm used to starve the very drain that refills
-//! the credits; one enqueue + one unpark amortized over all lanes a
-//! thread owns is what breaks that knee.
+//! once per batch — only when the thread has published that it is
+//! blocked on grants (closed loop, window or soft cap full, a lane
+//! starved of credit, a full ring), and only when the batch carries a
+//! credit worth a context switch (per-frame grants) or a lane's window
+//! crossed the reopening edge (theta re-advertisements). A thread pacing
+//! on its own deadlines picks its grants up when it wakes. At 1024 lanes
+//! the per-lane doorbell storm used to starve the very drain that refills
+//! the credits; one enqueue + at most one unpark amortized over all lanes
+//! a thread owns is what breaks that knee. The other way round, a feeder
+//! rings a replica's thread once per `DRAIN_MAX` frames it ships it and
+//! at the end of each pass, so the replica wakes to a batch of frames
+//! rather than chasing the pass frame by frame.
 //!
 //! Throughput is counted at stabilization (operations leaving the service
 //! towards remote datacenters), the same quantity the paper plots.
 //! [`run_eunomia_service_with_stats`] additionally returns the
 //! [`ServiceStats`] the hot path accumulates: ids/s at stabilization,
 //! batch-size and stabilization-latency distributions, theta sweep
-//! timings, grant-batch occupancy, and the flow-control signals
-//! (credit stalls, retransmitted ids, the advertised-window timeline).
+//! timings, grant-batch occupancy, the flow-control signals (credit
+//! stalls, retransmitted ids, the advertised-window timeline, frames the
+//! pressure floor held back), and how far the feeders fell behind their
+//! schedule.
 
 use crate::ThroughputTimeline;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use eunomia_core::ids::{PartitionId, ReplicaId};
 use eunomia_core::shard::{BatchFrame, GrantBatch, GrantCoalescer, MuxSender, ShardedReplicaState};
 use eunomia_core::time::{ScalarHlc, Timestamp};
 use eunomia_stats::ServiceStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Configuration for one service-throughput run.
@@ -159,15 +178,16 @@ enum ToReplica {
 /// replica still checks the θ clock every few milliseconds (a 256-frame
 /// sweep is ~15 ms of ingest — late θ ticks inflate the unstable
 /// backlog and stabilization latency), large enough to amortize the
-/// ring's batch drain.
+/// ring's batch drain. Feeders ring a replica once per this many frames,
+/// so each wake finds a full sweep's worth waiting.
 const DRAIN_MAX: usize = 64;
 
 /// Hard cap on ids per frame, bounding the per-frame allocation.
 const MAX_FRAME_IDS: usize = 4096;
 
-/// How long a pressure-gated lane may hold small frames back before
-/// shipping anyway (x `batch_interval`) — bounds the latency cost of
-/// coalescing for throughput.
+/// The age bound (x `batch_interval`): how long a lane's oldest unsent
+/// id may wait before the lane ships, whatever the pressure floor —
+/// bounds the latency cost of coalescing for throughput.
 const COALESCE_DEADLINE_INTERVALS: u32 = 8;
 
 /// Geometry of one run: the lane-to-feeder-thread map shared by feeders,
@@ -219,12 +239,29 @@ struct Shared {
     /// during fail-over.
     stable_published: AtomicU64,
     stabilized: AtomicU64,
+    /// Per feeder thread: whether it waits on grants (see `feeder_loop`).
+    /// Replicas ring the doorbell of a blocked thread only; one that is
+    /// pacing on its own deadlines picks its grants up when it wakes.
+    feeder_blocked: Vec<AtomicBool>,
+    /// Per replica: its running stabilization thread, for the feeders'
+    /// frame doorbell (a revived replica registers its new thread).
+    replica_threads: Vec<Mutex<Option<Thread>>>,
     epoch: Instant,
 }
 
 impl Shared {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Wakes replica `r`'s stabilization thread, if it has one.
+    fn ring_replica(&self, r: usize) {
+        if let Some(t) = &*self.replica_threads[r]
+            .lock()
+            .expect("replica thread slot poisoned")
+        {
+            t.unpark();
+        }
     }
 
     /// Leader as seen by replica `me`: the lowest-indexed live replica
@@ -241,6 +278,40 @@ impl Shared {
                 && (r == me || now.saturating_sub(self.beats[r].load(Ordering::Relaxed)) <= timeout)
         })
     }
+}
+
+/// `due_since` value of a (lane, replica) pair with nothing unsent.
+const NOTHING_UNSENT: u64 = u64::MAX;
+
+/// The pressure floor of a (lane, replica) pair: how many sendable ids
+/// a lane holds back for while the replica's ingest ring is filling.
+/// Zero at no pressure, a full frame at a full ring; never more than the
+/// replica's credit admits or a window holds, or it could never be met.
+fn pressure_floor(pressure: u8, credit: u32, window_cap: usize) -> usize {
+    (pressure as usize * MAX_FRAME_IDS / 255)
+        .min(credit as usize)
+        .min(window_cap)
+}
+
+/// Whether a lane ships its unsent ids to a replica in this pass.
+///
+/// `sendable` is what the replica's credit window admits, `waited` how
+/// long the oldest unsent id has been due, `floor` the
+/// [`pressure_floor`]. Nothing ships without credit. Once the oldest id
+/// has waited `deadline`, everything sendable ships. Before that a
+/// closed-loop lane ships as soon as it meets the floor — at no
+/// pressure, at once. A rate-limited lane holds for the deadline unless
+/// pressure raised the floor and it is met: it offers a few ids per
+/// millisecond, and shipping each dribble would cost a frame, a grant
+/// and a wake per dribble.
+fn ship_now(
+    sendable: usize,
+    waited: Duration,
+    floor: usize,
+    deadline: Duration,
+    rate_limited: bool,
+) -> bool {
+    sendable > 0 && (waited >= deadline || (sendable >= floor && (floor > 0 || !rate_limited)))
 }
 
 /// One feeder thread driving `geo.group_lanes(group)` logical lanes
@@ -265,14 +336,17 @@ fn feeder_loop(
     let mut dead = vec![false; n_replicas];
     let mut grant_buf: Vec<GrantBatch> = Vec::with_capacity(8);
     // Per-replica pressure (last grant's ingest-ring fill, 0..=255); the
-    // coalescing clock and ack-progress clock are per (lane, replica) —
-    // flat `lane * n_replicas + r` indexed.
+    // due clock and ack-progress clock are per (lane, replica) — flat
+    // `lane * n_replicas + r` indexed.
     let mut pressure = vec![0u8; n_replicas];
     let slot = |lane: usize, r: usize| lane * n_replicas + r;
     // Pacing jitter (xorshift, seeded by group id): feeders sharing one
     // RTT phase-lock into convoys — everyone ships together, the replica
     // chews the burst, everyone sleeps together and the ring runs dry.
-    // Randomizing each sleep +/-a third keeps arrivals spread out.
+    // Randomizing each back-off sleep +/-a third keeps arrivals spread
+    // out. Only closed-loop and blocked feeders back off; a rate-limited
+    // feeder wakes at its lanes' deadlines, which need no jitter: only
+    // the benchmark's single feeder thread runs rate-limited.
     // Audited, kept: convoys need several feeder threads and every
     // BENCHMARK.json workload runs one, so the benchmark sees only the
     // stretched sleeps. Without it (4 pairs, 10 s): svc-rate p50/p99
@@ -289,13 +363,7 @@ fn feeder_loop(
         d * (667 + (jitter_state % 667) as u32) / 1000
     };
     let coalesce_deadline = cfg.batch_interval * COALESCE_DEADLINE_INTERVALS;
-    // Rate-limited lanes wake on accumulation, not the closed-loop
-    // cadence: a wake is only worth its context switch if a quarter-frame
-    // of ids accrued on some lane (lanes accrue in parallel, so the floor
-    // is per lane, not per thread).
-    let accrual_floor = cfg.feeder_rate.map(|r| {
-        Duration::from_nanos((MAX_FRAME_IDS as u64 / 4).saturating_mul(1_000_000_000) / r.max(1))
-    });
+    let deadline_ns = coalesce_deadline.as_nanos() as u64;
     // The pooled window budget: any lane may borrow up to 2x its own cap
     // from siblings the replica has throttled, but the thread as a whole
     // never holds more than `window_cap x lanes` unacknowledged ids.
@@ -313,16 +381,23 @@ fn feeder_loop(
     // still spawning, and the first seconds of the credit timeline show
     // zero-credit grants that are a startup artifact, not flow control.
     start.wait();
-    let rate_start = Instant::now();
+    let rate_start = shared.now_ns();
+    // When id `k` of a rate-limited lane falls due on the shared clock.
+    let due_at = |k: u64, rate: u64| rate_start + k.saturating_mul(1_000_000_000) / rate.max(1);
     let mut generated: Vec<u64> = vec![0; n_lanes];
     let mut last_ship = vec![Instant::now(); n_lanes * n_replicas];
     let mut last_progress = vec![Instant::now(); n_lanes * n_replicas];
+    // When the oldest id not yet shipped to the replica fell due
+    // (`NOTHING_UNSENT` when everything shipped): a rate-limited id is
+    // due at its place in the lane's schedule, a closed-loop one when it
+    // is stamped. An id waits from when it was due, not from when this
+    // thread got round to stamping it.
+    let mut due_since = vec![NOTHING_UNSENT; n_lanes * n_replicas];
     // Per-replica EWMA of the ship-to-grant round trip — the retransmit
-    // threshold's unit and the park-timeout fallback. Wakes themselves
-    // are event-driven: the replica unparks this thread when it issues
-    // one of its lanes a grant batch, so the estimate measures the true
-    // round trip rather than the feeder's own sleep.
+    // threshold's unit and the park-timeout fallback of a blocked thread.
     let mut rtt_est = vec![cfg.batch_interval; n_replicas];
+    // Frames shipped to each replica since its doorbell last rang.
+    let mut unrung = vec![0usize; n_replicas];
     while !shared.stop.load(Ordering::Relaxed) {
         // Drain grant batches in one sweep; each batch carries at most
         // one folded grant per lane this thread owns.
@@ -358,48 +433,73 @@ fn feeder_loop(
                 mux.mark_dead(ReplicaId(r as u32));
             } else if *dead_flag && alive {
                 // Revived: rejoin by resend from the window floor (state
-                // transfer, not replay — `mark_alive`'s contract).
+                // transfer, not replay — `mark_alive`'s contract). The
+                // resend is overdue.
                 *dead_flag = false;
                 mux.mark_alive(ReplicaId(r as u32));
                 pressure[r] = 0;
                 for lane in 0..n_lanes {
                     last_progress[slot(lane, r)] = Instant::now();
+                    due_since[slot(lane, r)] = 0;
                 }
             }
         }
+        // Whether the thread waits on the replicas rather than on its own
+        // schedule; a closed-loop thread always does.
+        let mut blocked = cfg.feeder_rate.is_none();
         // Generate eagerly up to the pooled window budget (ids only,
         // §5). The physical clock is read once per pass; each lane's
         // HLC logical bump keeps its ids strictly monotone within the
         // burst. The rotating start index keeps pool borrowing fair.
         let mut pool_room = pool_cap.saturating_sub(mux.window_len());
-        let entitled_ns = cfg
-            .feeder_rate
-            .map(|rate| (rate_start.elapsed().as_nanos() as u64).saturating_mul(rate));
         let physical = Timestamp(shared.now_ns());
+        let entitled = cfg
+            .feeder_rate
+            .map(|rate| ((physical.0 - rate_start) as u128 * rate as u128 / 1_000_000_000) as u64);
+        let mut behind_max = 0u64;
         for i in 0..n_lanes {
             let lane = (i + rotate) % n_lanes;
             let mut room = lane_soft_cap
                 .saturating_sub(mux.lane_window_len(lane))
                 .min(pool_room);
-            if let Some(total_ns) = entitled_ns {
-                let entitled = total_ns / 1_000_000_000;
-                room = room.min(entitled.saturating_sub(generated[lane]) as usize);
+            let mut first_due = physical.0;
+            if let (Some(entitled), Some(rate)) = (entitled, cfg.feeder_rate) {
+                let behind = entitled.saturating_sub(generated[lane]);
+                behind_max = behind_max.max(behind);
+                // A lane held below its entitlement by its soft cap or
+                // the pool waits on grants.
+                blocked |= behind > room as u64;
+                room = room.min(behind as usize);
+                first_due = due_at(generated[lane], rate);
+            }
+            if room == 0 {
+                continue;
+            }
+            for r in 0..n_replicas {
+                let due = &mut due_since[slot(lane, r)];
+                *due = (*due).min(first_due);
             }
             generated[lane] += room as u64;
             pool_room -= room;
-            for _ in 0..room {
-                let ts = hlc[lane].tick_local(physical);
-                mux.push(lane, ts);
-            }
+            let first = hlc[lane].tick_local_run(physical, room as u64);
+            mux.push_run(lane, first, room);
         }
         rotate = rotate.wrapping_add(1);
-        // Ship per-(lane, replica) frames, honouring each credit window.
+        if let Some(rate) = cfg.feeder_rate {
+            let lag = behind_max.saturating_mul(1_000_000_000) / rate.max(1);
+            stats.feeder_lag_peak_ns = stats.feeder_lag_peak_ns.max(lag);
+        }
+        blocked |= mux.window_len() >= pool_cap;
+        // Ship per-(lane, replica) frames, honouring each credit window,
+        // and find the earliest moment a held lane falls due.
         let mut sent_something = false;
-        for lane in 0..n_lanes {
+        let mut next_due = NOTHING_UNSENT;
+        unrung.fill(0);
+        for (lane, clock) in hlc.iter_mut().enumerate() {
             let heartbeat = if mux.lane_window_len(lane) == 0
-                && hlc[lane].heartbeat_due(physical, cfg.batch_interval.as_nanos() as u64)
+                && clock.heartbeat_due(physical, cfg.batch_interval.as_nanos() as u64)
             {
-                Some(hlc[lane].heartbeat(Timestamp(shared.now_ns())))
+                Some(clock.heartbeat(Timestamp(shared.now_ns())))
             } else {
                 None
             };
@@ -408,75 +508,64 @@ fn feeder_loop(
                     continue;
                 }
                 let rid = ReplicaId(r as u32);
+                let s = slot(lane, r);
                 // The retransmission timeout scales with the observed
                 // round trip: a fixed constant misfires the moment
                 // scheduling delay exceeds it, and every misfire is a
                 // duplicate storm in miniature.
                 let timed_out = mux.in_flight(lane, rid) > 0
-                    && last_progress[slot(lane, r)].elapsed()
-                        > cfg.retransmit_after.max(rtt_est[r] * 8);
+                    && last_progress[s].elapsed() > cfg.retransmit_after.max(rtt_est[r] * 8);
                 let sendable = mux.sendable(lane, rid);
                 if sendable == 0 && !timed_out && heartbeat.is_none() {
                     // EXHAUSTED: the credit window admits nothing. Park
                     // the lane; the replica re-advertises on its theta
-                    // tick.
+                    // tick and rings this thread's doorbell.
                     if mux.starved(lane, rid) {
                         stats.credit_stalls += 1;
+                        blocked = true;
+                    } else {
+                        due_since[s] = NOTHING_UNSENT;
                     }
                     continue;
                 }
-                // Pressure-adaptive frame sizing: at pressure 0 ship
-                // whatever is pending (small frames, low latency); as the
-                // replica's ring fills, hold dribbles back until a full
-                // frame (or the deadline) so overload ships few, large
-                // frames. Rate-limited lanes floor this at a quarter
-                // frame — a grant doorbell must not flush every dribble
-                // the accrual clock has admitted.
-                // Audited, kept: this hold-back *is* the open-loop
-                // stabilization latency — a lane at 75k ids/s needs
-                // 13.7 ms to accrue the 1024 ids it waits for. Shipping
-                // whatever is sendable instead (4 pairs, 10 s) took
-                // svc-fanin p50/p99 from 22.4/98.7 to 1.7/5.0 ms and
-                // svc-rate from 2.1/24.6 to 0.69/3.8 ms, but
-                // cpu_ns_per_op from 11.6 to 18.7 and from 24.8 to 289
-                // (grant/doorbell ping-pong per dribble) against a 25%
-                // bound. A pacing rule that keeps the CPU and gives back
-                // the latency is a perf issue of its own.
-                let rate_floor = if cfg.feeder_rate.is_some() {
-                    MAX_FRAME_IDS / 4
-                } else {
-                    0
-                };
-                let min_ship = (pressure[r] as usize * MAX_FRAME_IDS / 255)
-                    .max(rate_floor)
-                    .min(mux.credit_of(lane, rid) as usize)
-                    .min(cfg.window_cap);
-                // A rate-limited lane takes `min_ship / rate` to accrue a
-                // frame worth shipping; holding it to the closed-loop
-                // deadline would flush pressure-sized frames as dribbles
-                // and melt the overload regime into a wake storm.
-                let deadline = match cfg.feeder_rate {
-                    Some(rate) if rate > 0 => coalesce_deadline.max(Duration::from_nanos(
-                        (min_ship as u64).saturating_mul(1_000_000_000) / rate,
-                    )),
-                    _ => coalesce_deadline,
-                };
-                if sendable < min_ship
-                    && !timed_out
+                // The age bound: a lane ships once its oldest unsent id
+                // has waited the coalesce deadline, or earlier when it
+                // meets the pressure floor (see `ship_now`).
+                // Audited (10 alternating pairs, 10 s), this rule with
+                // the batched replica doorbell and run pushes against the
+                // quarter-frame accrual floor it replaced: svc-fanin
+                // p50/p99 24.3/103 -> 4.1/6.8 ms and cpu_ns_per_op
+                // 12.6 -> 9.7; svc-rate 2.4/25.1 -> 1.1/1.9 ms and
+                // 30.6 -> 20.9. Shipping whatever is sendable, with no
+                // age bound, had taken the accrual floor's 22.4/98.7 ms
+                // (svc-fanin) and 2.1/24.6 ms (svc-rate) to 1.7/5.0 and
+                // 0.69/3.8 ms, but cpu_ns_per_op from 11.6 to 18.7 and
+                // from 24.8 to 289 (4 pairs): a grant and a doorbell per
+                // dribble.
+                let floor = pressure_floor(pressure[r], mux.credit_of(lane, rid), cfg.window_cap);
+                let waited = Duration::from_nanos(physical.0.saturating_sub(due_since[s]));
+                if !timed_out
                     && heartbeat.is_none()
-                    && last_ship[slot(lane, r)].elapsed() < deadline
+                    && !ship_now(
+                        sendable,
+                        waited,
+                        floor,
+                        coalesce_deadline,
+                        cfg.feeder_rate.is_some(),
+                    )
                 {
+                    next_due = next_due.min(due_since[s].saturating_add(deadline_ns));
                     continue;
                 }
-                let floor = if timed_out {
-                    last_progress[slot(lane, r)] = Instant::now();
+                let floor_ts = if timed_out {
+                    last_progress[s] = Instant::now();
                     Timestamp::ZERO // Re-ship everything unacked (credit-bounded).
                 } else {
                     mux.sent_of(lane, rid) // New ids only.
                 };
                 let sent_before = mux.sent_of(lane, rid);
                 let spare = spares.pop().unwrap_or_default();
-                let frame = mux.build_frame(lane, rid, floor, heartbeat, MAX_FRAME_IDS, spare);
+                let frame = mux.build_frame(lane, rid, floor_ts, heartbeat, MAX_FRAME_IDS, spare);
                 if frame.ids.is_empty() && heartbeat.is_none() {
                     spares.push(frame.ids);
                     continue;
@@ -487,33 +576,67 @@ fn feeder_loop(
                 // sent (`note_sent` advances only on success: skipping
                 // ids would break the contiguous-suffix contract the
                 // watermark dedup relies on), so the next pass re-builds
-                // the same suffix.
+                // the same suffix — woken by the replica's grants.
                 match tx.try_send(ToReplica::Frame(frame)) {
                     Ok(()) => {
                         sent_something = true;
-                        last_ship[slot(lane, r)] = Instant::now();
+                        last_ship[s] = Instant::now();
+                        unrung[r] += 1;
+                        if unrung[r] == DRAIN_MAX {
+                            shared.ring_replica(r);
+                            unrung[r] = 0;
+                        }
                         stats.retransmitted_ids += resent;
+                        if floor > 0 {
+                            stats.pressure_floor_frames += 1;
+                        }
                         if let Some(ts) = newest {
                             mux.note_sent(lane, rid, ts);
+                        }
+                        // A frame cut short by the credit window leaves
+                        // the lane waiting on grants; one cut at the
+                        // frame cap is still due.
+                        if mux.unsent(lane, rid) == 0 {
+                            due_since[s] = NOTHING_UNSENT;
+                        } else if mux.sendable(lane, rid) == 0 {
+                            blocked = true;
+                        } else {
+                            next_due = next_due.min(due_since[s].saturating_add(deadline_ns));
                         }
                     }
                     Err(TrySendError::Full(ToReplica::Frame(f)))
                     | Err(TrySendError::Disconnected(ToReplica::Frame(f))) => {
                         stats.ring_full_stalls += 1;
                         spares.push(f.ids);
+                        blocked = true;
                     }
                     Err(_) => {}
                 }
             }
         }
-        // Event-driven pacing. After shipping, the next actionable moment
-        // is the grant batch for those frames — and the replica *unparks*
-        // this thread when it enqueues one, so the park timeout is only a
-        // fallback (lost grant, dead replica). A pass that neither
-        // shipped nor heard grants — window fully in flight,
-        // credit-starved, ring full — backs off exponentially instead of
-        // stealing CPU from the service on small hosts (the paper's
-        // feeders are separate machines).
+        for (r, &n) in unrung.iter().enumerate() {
+            if n > 0 {
+                shared.ring_replica(r);
+            }
+        }
+        // A rate-limited lane with nothing unsent falls due again when
+        // its next id does, a deadline later; lanes at their soft cap
+        // wait on grants instead.
+        if let (Some(rate), Some(entitled)) = (cfg.feeder_rate, entitled) {
+            if generated.iter().any(|&g| g >= entitled) {
+                next_due = next_due.min(due_at(entitled, rate).saturating_add(deadline_ns));
+            }
+        }
+        // Pacing. A thread that is not blocked sleeps until its earliest
+        // deadline: grants for what it shipped wait in its ring, and no
+        // doorbell wakes it for them. A blocked thread — closed loop,
+        // window or soft cap full, a lane starved of credit, a replica's
+        // ring full — waits on the replicas: they unpark it when they
+        // enqueue a grant batch worth a wake, so its park timeout is
+        // only a fallback (lost grant, dead replica). A pass that
+        // neither shipped nor heard grants backs off exponentially
+        // instead of stealing CPU from the service on small hosts (the
+        // paper's feeders are separate machines).
         backoff = if sent_something {
             let next_grant = dead
                 .iter()
@@ -535,15 +658,26 @@ fn feeder_loop(
             // latency.
             (backoff * 2).min(cfg.batch_interval * 1024)
         };
-        let mut park = backoff;
-        if let Some(floor) = accrual_floor {
-            // A rate-limited thread whose pooled window is not full is
-            // waiting on its own accrual, not on the service.
-            if mux.window_len() < pool_cap {
-                park = park.max(floor);
-            }
+        let until_due = (cfg.feeder_rate.is_some() && next_due != NOTHING_UNSENT)
+            .then(|| Duration::from_nanos(next_due.saturating_sub(shared.now_ns())));
+        let park = match until_due {
+            Some(d) if !blocked => d,
+            Some(d) => jitter(backoff).min(d),
+            None => jitter(backoff),
+        };
+        // Publish the flag before parking. On becoming blocked, look at
+        // the grant ring once more: a batch a replica enqueued before it
+        // could see the flag rang no doorbell (pairs with the fence in
+        // `replica_loop`).
+        let was_blocked = shared.feeder_blocked[group].swap(blocked, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        if !(blocked && !was_blocked && !grants.is_empty()) {
+            std::thread::park_timeout(park);
         }
-        std::thread::park_timeout(jitter(park));
+    }
+    if let (Some(rate), Some(&least)) = (cfg.feeder_rate, generated.iter().min()) {
+        stats.feeder_lag_at_stop_ns = shared.now_ns().saturating_sub(due_at(least, rate));
+        stats.feeder_lag_peak_ns = stats.feeder_lag_peak_ns.max(stats.feeder_lag_at_stop_ns);
     }
     stats
 }
@@ -551,7 +685,7 @@ fn feeder_loop(
 /// The stabilization thread of replica `me`: its frame ring and a
 /// [`ShardedReplicaState`] over every lane. Grants are coalesced per
 /// feeder-thread group and flushed as one [`GrantBatch`] (plus at most
-/// one doorbell unpark) per sweep.
+/// one doorbell unpark, for a thread blocked on grants) per sweep.
 #[allow(clippy::too_many_arguments)]
 fn replica_loop(
     me: usize,
@@ -585,6 +719,9 @@ fn replica_loop(
     let mut ring_worthy = vec![false; geo.n_groups];
     let mut batch_spares: Vec<GrantBatch> = Vec::new();
     let reopen = (MAX_FRAME_IDS / 4) as u32;
+    *shared.replica_threads[me]
+        .lock()
+        .expect("replica thread slot poisoned") = Some(std::thread::current());
     if let Some(b) = start {
         b.wait();
     }
@@ -598,11 +735,16 @@ fn replica_loop(
         frames.clear();
         stats.queue_depth_high_water = stats.queue_depth_high_water.max(rx.len() as u64);
         if rx.try_recv_batch(&mut frames, DRAIN_MAX) == 0 {
-            let timeout = next_theta.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(timeout) {
-                Ok(msg) => frames.push(msg),
-                Err(RecvTimeoutError::Disconnected) => break 'run,
-                Err(RecvTimeoutError::Timeout) => {}
+            // Yield once before parking: what this thread waits for is
+            // often a time slice away on a busy host, and finding it then
+            // costs less than a park and an unpark. Feeders ring this
+            // thread once per `DRAIN_MAX` frames they ship it and at the
+            // end of each pass, so it wakes to a batch instead of chasing
+            // a pass frame by frame.
+            std::thread::yield_now();
+            if rx.try_recv_batch(&mut frames, DRAIN_MAX) == 0 {
+                std::thread::park_timeout(next_theta.saturating_duration_since(Instant::now()));
+                rx.try_recv_batch(&mut frames, DRAIN_MAX);
             }
         }
         let ring_still_deep = frames.len() == DRAIN_MAX;
@@ -698,7 +840,7 @@ fn replica_loop(
                 if let Some(grant) = state.advertise(PartitionId(lane as u32), fill, budget) {
                     // Ring the doorbell only on the reopening *edge*: a
                     // lane already holding workable credit is pacing on
-                    // its own accrual, and re-waking every throttled lane
+                    // its own schedule, and re-waking every throttled lane
                     // every tick is the wake storm all over again.
                     let reopened = *adv < reopen && grant.credit >= reopen;
                     *adv = grant.credit;
@@ -735,7 +877,12 @@ fn replica_loop(
                     Ok(()) => {
                         stats.grant_batches += 1;
                         stats.grant_batch_lanes.record(lanes_in_batch);
-                        if worthy {
+                        // Pairs with the feeder's fence between
+                        // publishing its flag and its last look at the
+                        // ring: either it sees this batch or this sees
+                        // it blocked.
+                        fence(Ordering::SeqCst);
+                        if worthy && shared.feeder_blocked[g].load(Ordering::SeqCst) {
                             feeders[g].unpark();
                             stats.doorbell_unparks += 1;
                         }
@@ -794,6 +941,8 @@ pub fn run_eunomia_service_with_stats(
         beats: (0..cfg.replicas).map(|_| AtomicU64::new(0)).collect(),
         stable_published: AtomicU64::new(0),
         stabilized: AtomicU64::new(0),
+        feeder_blocked: (0..geo.n_groups).map(|_| AtomicBool::new(true)).collect(),
+        replica_threads: (0..cfg.replicas).map(|_| Mutex::new(None)).collect(),
         epoch: Instant::now(),
     });
 
@@ -924,6 +1073,9 @@ pub fn run_eunomia_service_with_stats(
     for t in feeder_threads.iter() {
         t.unpark();
     }
+    for r in 0..cfg.replicas {
+        shared.ring_replica(r);
+    }
     let elapsed = start_t.elapsed();
     for h in feeder_handles {
         if let Ok(s) = h.join() {
@@ -980,6 +1132,71 @@ mod tests {
         let p50 = stats.stabilization_latency_ms(50.0).unwrap();
         assert!(p50 > 0.0, "stabilization takes nonzero time: {p50}");
         assert!(stats.theta_sweep_ns.count() > 0, "theta sweeps are timed");
+    }
+
+    #[test]
+    fn ship_rule_bounds_age_and_honours_credit_and_pressure() {
+        let deadline = Duration::from_millis(8);
+        let young = Duration::from_millis(1);
+        // Without credit nothing ships, however old.
+        for rate_limited in [false, true] {
+            assert!(!ship_now(0, deadline * 10, 0, deadline, rate_limited));
+        }
+        // At no pressure a closed-loop lane ships at once; a rate-limited
+        // one holds until its oldest id has waited the deadline.
+        let floor = pressure_floor(0, 65_536, 4096);
+        assert_eq!(floor, 0);
+        assert!(ship_now(10, young, floor, deadline, false));
+        assert!(!ship_now(10, young, floor, deadline, true));
+        assert!(ship_now(10, deadline, floor, deadline, true));
+        // A full ring raises the floor to a full frame: below it both
+        // kinds hold until the deadline, at it both ship early.
+        let full = pressure_floor(255, 65_536, 8192);
+        assert_eq!(full, MAX_FRAME_IDS);
+        for rate_limited in [false, true] {
+            assert!(!ship_now(full - 1, young, full, deadline, rate_limited));
+            assert!(ship_now(full, young, full, deadline, rate_limited));
+            assert!(ship_now(full - 1, deadline, full, deadline, rate_limited));
+        }
+        // The floor never exceeds the credit or the window, so a lane can
+        // always meet it.
+        let tight = pressure_floor(255, 100, 4096);
+        assert_eq!(tight, 100);
+        assert_eq!(pressure_floor(255, 65_536, 512), 512);
+        assert!(ship_now(100, young, tight, deadline, true));
+    }
+
+    /// A rate-limited feeder that keeps up paces on its own deadlines:
+    /// the replicas still return its grants in batches, but ring its
+    /// doorbell only while it waits on them, which an unsaturated run
+    /// almost never does.
+    #[test]
+    fn unsaturated_rate_limited_feeder_is_rarely_rung() {
+        let cfg = EunomiaBenchConfig {
+            feeders: 16,
+            lanes_per_feeder: 16,
+            replicas: 2,
+            duration: Duration::from_millis(900),
+            feeder_rate: Some(20_000),
+            retransmit_after: Duration::from_secs(3600),
+            ..EunomiaBenchConfig::default()
+        };
+        let (t, stats) = run_eunomia_service_with_stats(&cfg);
+        assert!(t.total > 0, "stabilized nothing");
+        assert_eq!(stats.duplicate_ids, 0);
+        assert!(
+            stats.grant_batches >= 50,
+            "{} grant batches",
+            stats.grant_batches
+        );
+        assert!(
+            stats.doorbell_unparks * 10 <= stats.grant_batches,
+            "{} unparks for {} grant batches",
+            stats.doorbell_unparks,
+            stats.grant_batches
+        );
+        assert!(stats.feeder_lag_peak_ns > 0, "the schedule lag is measured");
+        assert!(stats.feeder_lag_at_stop_ns <= stats.feeder_lag_peak_ns);
     }
 
     #[test]

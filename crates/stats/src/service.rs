@@ -68,8 +68,23 @@ pub struct ServiceStats {
     pub grant_batches: u64,
     /// Replica-side: doorbell unparks rung — at most one per enqueued
     /// batch, so `doorbell_unparks / grant_batches <= 1` pins the
-    /// one-unpark-per-batch amortization.
+    /// one-unpark-per-batch amortization, and none for a feeder thread
+    /// that is not blocked on grants.
     pub doorbell_unparks: u64,
+    /// Feeder-side: frames shipped while ring pressure held the lane's
+    /// ship floor above zero — how often a replica's filling ingest ring
+    /// made a feeder coalesce toward a full frame.
+    pub pressure_floor_frames: u64,
+    /// Feeder-side: the furthest any rate-limited lane fell behind its
+    /// `feeder_rate` schedule, in ns: how long the oldest id the feeder
+    /// had not yet generated had been due. It includes the sleep between
+    /// passes, so it never reads below the time between passes. Zero in
+    /// closed loop.
+    pub feeder_lag_peak_ns: u64,
+    /// Feeder-side: the same lag read once more when the run stops. An
+    /// id the schedule offered but that no replica reached is either
+    /// behind this lag or held in a window.
+    pub feeder_lag_at_stop_ns: u64,
     /// Measured wall-clock duration of the run.
     pub elapsed: Duration,
 }
@@ -158,6 +173,11 @@ impl ServiceStats {
         self.grant_batch_lanes.merge(&other.grant_batch_lanes);
         self.grant_batches += other.grant_batches;
         self.doorbell_unparks += other.doorbell_unparks;
+        self.pressure_floor_frames += other.pressure_floor_frames;
+        // Lags take the worst feeder thread, not a sum: threads run side
+        // by side, each on its own schedule.
+        self.feeder_lag_peak_ns = self.feeder_lag_peak_ns.max(other.feeder_lag_peak_ns);
+        self.feeder_lag_at_stop_ns = self.feeder_lag_at_stop_ns.max(other.feeder_lag_at_stop_ns);
         self.elapsed = self.elapsed.max(other.elapsed);
     }
 
@@ -252,6 +272,22 @@ mod tests {
         assert_eq!(a.ring_full_stalls, 1);
         assert_eq!(a.retransmitted_ids, 7);
         assert_eq!(a.advertised_credits.count(), 1);
+    }
+
+    #[test]
+    fn feeder_lag_takes_the_worst_thread_and_pressure_frames_add() {
+        let mut run = ServiceStats::default();
+        for (peak, at_stop, frames) in [(9_000_000, 2_000_000, 4), (40_000_000, 1_000_000, 6)] {
+            run.merge(&ServiceStats {
+                feeder_lag_peak_ns: peak,
+                feeder_lag_at_stop_ns: at_stop,
+                pressure_floor_frames: frames,
+                ..ServiceStats::default()
+            });
+        }
+        assert_eq!(run.feeder_lag_peak_ns, 40_000_000);
+        assert_eq!(run.feeder_lag_at_stop_ns, 2_000_000);
+        assert_eq!(run.pressure_floor_frames, 10);
     }
 
     /// The multi-thread stabilizer fold: three stabilizer threads (say,
